@@ -137,6 +137,16 @@ def partition(x: Sequence, cp: ChangePoints) -> list[SegmentView]:
     return views
 
 
+def log_gap_product(cp: ChangePoints) -> float:
+    """Log of the product of the segment gaps; -inf when any gap is zero."""
+    total = 0.0
+    for g in cp.gaps():
+        if g <= 0:
+            return NEG_INF
+        total += math.log(g)
+    return total
+
+
 def log_prior_positions(cp: ChangePoints) -> float:
     """Log prior of the locations: the even-order statistics of 2*ell+1
     uniform draws from {2,..,n-1} without replacement, which weights a
@@ -144,11 +154,9 @@ def log_prior_positions(cp: ChangePoints) -> float:
     change-points probability zero. Returns -inf for zero-weight
     configurations; with no change-points the prior is exactly one.
     """
-    total = 0.0
-    for g in cp.gaps():
-        if g <= 0:
-            return NEG_INF
-        total += math.log(g)
+    total = log_gap_product(cp)
+    if total == NEG_INF:
+        return NEG_INF
     ell = cp.ell
     if ell == 0:
         # single gap of n-2 against K_0 = n-2: exactly one
@@ -175,8 +183,8 @@ class EvidenceCache:
     """LRU cache of per-segment log evidence values keyed by (start, end).
 
     Keys assume fixed depth and hyperparameters for the lifetime of the
-    cache; clear it whenever those change. A local move alters at most two
-    segments, so nearly every factor of the joint evidence is a cache hit.
+    cache; use a new cache whenever those change. A local move alters at most
+    two segments, so nearly every factor of the joint evidence is a cache hit.
     """
 
     def __init__(self, capacity: int = 1_000_000):
@@ -205,11 +213,6 @@ class EvidenceCache:
         store.move_to_end(key)
         while len(store) > self.capacity:
             store.popitem(last=False)
-
-    def clear(self):
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
 
     @property
     def stats(self) -> dict:
@@ -262,29 +265,24 @@ def log_posterior_unnorm(
     return lp + log_joint_evidence(x, cp, params, cache)
 
 
-def exact_single_cp_posterior(
-    x: Sequence,
-    params: BctHyperParams,
-    cache: EvidenceCache | None = None,
-) -> np.ndarray:
+def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray:
     """Exact posterior of a single change-point location.
 
     Returns the probability vector over p in {2,..,n-1} (index 0 holds p=2).
     Positions with zero prior weight come out exactly zero. Feasible because
     the single-change-point evidence factorises into just two segments per
-    candidate position.
+    candidate position. Each of those segments occurs for one position only,
+    so no evidence value is cached.
     """
     n = x.n
     if n < 4:
         raise ValueError("need at least four observations")
-    if cache is None:
-        cache = EvidenceCache()
     logs = np.full(n - 2, NEG_INF)
     for p in range(2, n):
         cp = ChangePoints(n, (p,))
         lp = log_prior_positions(cp)
         if lp == NEG_INF:
             continue
-        logs[p - 2] = lp + log_joint_evidence(x, cp, params, cache)
+        logs[p - 2] = lp + log_joint_evidence(x, cp, params)
     norm = logsumexp(logs)
     return np.exp(logs - norm)

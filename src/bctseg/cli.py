@@ -14,13 +14,14 @@ for a given seed. Exit codes: 0 success, 2 usage, 3 input parse failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,21 @@ def _load_sequence(path: str, depth: int, alphabet_arg: str | None):
     return split_context(raw, depth, alphabet), digest
 
 
+def _load_model_input(args):
+    """The input series, the resolved hyperparameters, the input digest and
+    the manifest parameters shared by every command that fits models."""
+    x, digest = _load_sequence(args.input, args.depth, args.alphabet)
+    params = BctHyperParams(x.alphabet.size, args.depth, args.beta)
+    parameters = {
+        "input": args.input,
+        "alphabet": list(x.alphabet.labels),
+        "depth": args.depth,
+        "beta": params.beta,
+        "n": x.n,
+    }
+    return x, params, digest, parameters
+
+
 def _parse_segment_list(arg: str | None, n: int) -> ChangePoints:
     if not arg:
         return ChangePoints(n)
@@ -191,32 +207,58 @@ def _parse_segment_list(arg: str | None, n: int) -> ChangePoints:
     return ChangePoints(n, sorted(points))
 
 
-def _write_manifest(outdir: Path, command: str, parameters: dict, digest, started):
+def _json(obj, **options):
+    """Writer of `obj` as JSON followed by a newline."""
+
+    def write(fh):
+        json.dump(obj, fh, **options)
+        fh.write("\n")
+
+    return write
+
+
+def _csv(rows):
+    """Writer of one comma-joined line per pair in `rows`."""
+
+    def write(fh):
+        for a, b in rows:
+            fh.write(f"{a},{b}\n")
+
+    return write
+
+
+def _write_atomic(path: Path, write) -> None:
+    """Create `path` by calling `write(fh)` on a temporary file in the same
+    directory and renaming it into place, so a failed or interrupted write
+    leaves any earlier file at `path` whole and no partial file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_outputs(args, files: dict, parameters: dict, digest, started) -> Path:
+    """Write each named output into the --out directory, then manifest.json
+    with the resolved parameters, the input digest and the tool version."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        _write_atomic(outdir / name, write)
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "parameters": parameters,
         "input_digest": digest,
         "wall_clock_seconds": time.perf_counter() - started,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    _write_atomic(outdir / "manifest.json", _json(manifest, indent=2, sort_keys=True))
+    return outdir
 
 
 # ------------------------------------------------------------------ commands
-
-
-def _chain_worker(payload):
-    x, config = payload
-    trace = run(x, config)
-    return trace
 
 
 def _merge_summaries(traces: list[Trace]) -> Summary:
@@ -237,15 +279,12 @@ def _merge_summaries(traces: list[Trace]) -> Summary:
         for move, c in tr.accepted.items():
             combined.accepted[move] = combined.accepted.get(move, 0) + c
         combined.retained += tr.retained
-        if tr.best_log_post > combined.best_log_post:
-            combined.best_log_post = tr.best_log_post
-            combined.best_state = tr.best_state
     return summarize(combined)
 
 
 def cmd_segment(args) -> int:
     started = time.perf_counter()
-    x, digest = _load_sequence(args.input, args.depth, args.alphabet)
+    x, _, digest, parameters = _load_model_input(args)
     base = McmcConfig(
         iterations=args.iters,
         burn_in=args.burnin,
@@ -262,149 +301,107 @@ def cmd_segment(args) -> int:
         traces = [run(x, base)]
     else:
         seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
-        configs = [
-            McmcConfig(
-                iterations=args.iters, burn_in=args.burnin, seed=s,
-                depth=args.depth, beta=args.beta, num_changes=args.num_changes,
-                ell_max=args.lmax, thinning=args.thin,
-            )
-            for s in seeds
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.chains) as pool:
-            traces = list(pool.map(_chain_worker, [(x, c) for c in configs]))
+        configs = [dataclasses.replace(base, seed=s) for s in seeds]
+        workers = min(args.chains, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(run, [x] * args.chains, configs))
 
-    outdir = _outdir(args)
+    files = {}
     for i, tr in enumerate(traces):
         name = "trace.csv" if i == 0 else f"trace_{i}.csv"
-        with open(outdir / name, "w") as fh:
-            tr.write_csv(fh)
+        if tr.states is None:
+            print(
+                f"note: {name} not written: too many samples to keep, so the "
+                "chain kept only its histograms",
+                file=sys.stderr,
+            )
+        else:
+            files[name] = tr.write_csv
     summary = _merge_summaries(traces)
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary.to_json_obj(), fh, indent=2)
-        fh.write("\n")
+    files["summary.json"] = _json(summary.to_json_obj(), indent=2)
     if args.format == "csv":
-        with open(outdir / "ell_hist.csv", "w") as fh:
-            for ell, c in sorted(summary.ell_hist.items()):
-                fh.write(f"{ell},{c}\n")
-        with open(outdir / "loc_hist.csv", "w") as fh:
-            for p, c in sorted(summary.loc_hist.items()):
-                fh.write(f"{p},{c}\n")
-
-    params = base.hyper(x.alphabet.size)
-    _write_manifest(
-        outdir,
-        "segment",
-        {
-            "input": args.input,
-            "alphabet": list(x.alphabet.labels),
-            "depth": args.depth,
-            "beta": params.beta,
-            "mode": "fixed" if base.fixed_mode else "variable",
-            "num_changes": args.num_changes,
-            "lmax": args.lmax,
-            "iters": args.iters,
-            "burnin": args.burnin,
-            "thin": args.thin,
-            "seed": args.seed,
-            "chains": args.chains,
-            "n": x.n,
-            "format": args.format,
-        },
-        digest,
-        started,
+        files["ell_hist.csv"] = _csv(sorted(summary.ell_hist.items()))
+        files["loc_hist.csv"] = _csv(sorted(summary.loc_hist.items()))
+    parameters.update(
+        mode="fixed" if base.fixed_mode else "variable",
+        num_changes=args.num_changes,
+        lmax=args.lmax,
+        iters=args.iters,
+        burnin=args.burnin,
+        thin=args.thin,
+        seed=args.seed,
+        chains=args.chains,
+        format=args.format,
     )
-    print(f"wrote {outdir / 'trace.csv'}, {outdir / 'summary.json'}")
+    outdir = _write_outputs(args, files, parameters, digest, started)
+    written = [str(outdir / name) for name in ("trace.csv", "summary.json") if name in files]
+    print(f"wrote {', '.join(written)}")
     return 0
 
 
 def cmd_exact(args) -> int:
     started = time.perf_counter()
-    x, digest = _load_sequence(args.input, args.depth, args.alphabet)
-    params = BctHyperParams(x.alphabet.size, args.depth, args.beta)
+    x, params, digest, parameters = _load_model_input(args)
     probs = exact_single_cp_posterior(x, params)
     positions = np.arange(2, x.n)
-
-    outdir = _outdir(args)
     if args.format == "csv":
-        target = outdir / "posterior.csv"
-        with open(target, "w") as fh:
-            fh.write("position,probability\n")
-            for p, v in zip(positions, probs):
-                fh.write(f"{p},{_fmt(v)}\n")
+        header = [("position", "probability")]
+        write = _csv(itertools.chain(header, zip(positions, map(_fmt, probs))))
     else:
-        target = outdir / "posterior.json"
-        with open(target, "w") as fh:
-            json.dump(
-                {"positions": positions.tolist(), "probs": probs.tolist()}, fh
-            )
-            fh.write("\n")
-    _write_manifest(
-        outdir,
-        "exact",
-        {
-            "input": args.input,
-            "alphabet": list(x.alphabet.labels),
-            "depth": args.depth,
-            "beta": params.beta,
-            "n": x.n,
-            "format": args.format,
-        },
-        digest,
-        started,
-    )
-    print(f"wrote {target}")
+        write = _json({"positions": positions.tolist(), "probs": probs.tolist()})
+    name = f"posterior.{args.format}"
+    parameters["format"] = args.format
+    outdir = _write_outputs(args, {name: write}, parameters, digest, started)
+    print(f"wrote {outdir / name}")
     return 0
 
 
 def _fit_segment_models(x: Sequence, cp: ChangePoints, params: BctHyperParams):
-    views = partition(x, cp)
+    # a function of its own so that the last count tree is freed before the
+    # caller builds its per-segment output (the stationary solve peaks there)
     fitted = []
-    for view in views:
-        if view.length < 1:
-            raise ValueError(f"segment {view.index} is empty")
+    for view in partition(x, cp):
         codes = np.concatenate([view.context, view.observations])
         tree = CountTree.from_arrays(codes, params.depth, params)
         fitted.append((view, tree.map_model(with_params=True)))
     return fitted
 
 
-def cmd_maptree(args) -> int:
+def _cmd_fit_segments(args, describe) -> int:
+    """Shared body of maptree and stationary: fit the MAP tree model of each
+    segment and write one entry per segment to <command>.json, with the
+    fields that `describe(model, alphabet)` returns."""
     started = time.perf_counter()
-    x, digest = _load_sequence(args.input, args.depth, args.alphabet)
-    params = BctHyperParams(x.alphabet.size, args.depth, args.beta)
+    x, params, digest, parameters = _load_model_input(args)
     cp = _parse_segment_list(args.segments, x.n)
     fitted = _fit_segment_models(x, cp, params)
-    payload = {
-        "segments": [
-            {
-                "start": view.start,
-                "end": view.end,
-                "depth": model.depth,
-                "model": model.to_json(x.alphabet),
-            }
-            for view, model in fitted
-        ]
-    }
-    outdir = _outdir(args)
-    with open(outdir / "maptree.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(
-        outdir,
-        "maptree",
-        {
-            "input": args.input,
-            "alphabet": list(x.alphabet.labels),
-            "depth": args.depth,
-            "beta": params.beta,
-            "segments": list(cp.positions),
-            "n": x.n,
-        },
-        digest,
-        started,
-    )
-    print(f"wrote {outdir / 'maptree.json'}")
+    segments = [
+        {"start": view.start, "end": view.end, **describe(model, x.alphabet)}
+        for view, model in fitted
+    ]
+    name = f"{args.command}.json"
+    parameters["segments"] = list(cp.positions)
+    files = {name: _json({"segments": segments}, indent=2)}
+    outdir = _write_outputs(args, files, parameters, digest, started)
+    print(f"wrote {outdir / name}")
     return 0
+
+
+def cmd_maptree(args) -> int:
+    return _cmd_fit_segments(
+        args,
+        lambda model, alphabet: {"depth": model.depth, "model": model.to_json(alphabet)},
+    )
+
+
+def cmd_stationary(args) -> int:
+    return _cmd_fit_segments(
+        args,
+        lambda model, alphabet: {
+            "model_depth": model.depth,
+            "marginal": [float(v) for v in stationary_marginal(model)],
+        },
+    )
 
 
 def cmd_generate(args) -> int:
@@ -420,67 +417,19 @@ def cmd_generate(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     seq, truth = generate_piecewise(spec)
 
-    outdir = _outdir(args)
     labels = seq.alphabet.labels
     joiner = "" if all(len(lab) == 1 for lab in labels) else "\n"
     full = list(seq.context) + list(seq.observations)
-    with open(outdir / "sequence.txt", "w") as fh:
-        fh.write(joiner.join(labels[c] for c in full))
-        fh.write("\n")
-    with open(outdir / "changepoints.json", "w") as fh:
-        json.dump(
+    files = {
+        "sequence.txt": lambda fh: fh.write(joiner.join(labels[c] for c in full) + "\n"),
+        "changepoints.json": _json(
             {"n": seq.n, "depth": spec.depth, "change_points": list(truth),
-             "seed": spec.seed},
-            fh,
-        )
-        fh.write("\n")
-    _write_manifest(
-        outdir,
-        "generate",
-        {"spec": args.spec, "seed": spec.seed, "n": seq.n, "depth": spec.depth},
-        digest,
-        started,
-    )
-    print(f"wrote {outdir / 'sequence.txt'} ({seq.n + spec.depth} symbols)")
-    return 0
-
-
-def cmd_stationary(args) -> int:
-    started = time.perf_counter()
-    x, digest = _load_sequence(args.input, args.depth, args.alphabet)
-    params = BctHyperParams(x.alphabet.size, args.depth, args.beta)
-    cp = _parse_segment_list(args.segments, x.n)
-    fitted = _fit_segment_models(x, cp, params)
-    payload = {
-        "segments": [
-            {
-                "start": view.start,
-                "end": view.end,
-                "model_depth": model.depth,
-                "marginal": [float(v) for v in stationary_marginal(model)],
-            }
-            for view, model in fitted
-        ]
+             "seed": spec.seed}
+        ),
     }
-    outdir = _outdir(args)
-    with open(outdir / "stationary.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(
-        outdir,
-        "stationary",
-        {
-            "input": args.input,
-            "alphabet": list(x.alphabet.labels),
-            "depth": args.depth,
-            "beta": params.beta,
-            "segments": list(cp.positions),
-            "n": x.n,
-        },
-        digest,
-        started,
-    )
-    print(f"wrote {outdir / 'stationary.json'}")
+    parameters = {"spec": args.spec, "seed": spec.seed, "n": seq.n, "depth": spec.depth}
+    outdir = _write_outputs(args, files, parameters, digest, started)
+    print(f"wrote {outdir / 'sequence.txt'} ({seq.n + spec.depth} symbols)")
     return 0
 
 
@@ -498,10 +447,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -1,9 +1,10 @@
-"""Metropolis-Hastings samplers over change-point configurations.
+"""Metropolis-Hastings sampler over change-point configurations.
 
-Two chains are provided: one for a known number of change-points (moves a
-single point, either by a uniform jump to an unoccupied position or by a
-+-1 random-walk step) and one for an unknown number (adds birth and death
-moves with the matching proposal corrections in the acceptance ratio).
+With a known number of change-points the chain moves a single point, either
+by a uniform jump to an unoccupied position or by a +-1 random-walk step.
+With an unknown number it adds birth and death moves, whose proposal
+corrections enter the acceptance ratio. Both modes share one acceptance
+ratio, in which the correction is zero whenever the count is unchanged.
 
 Each chain owns one seeded generator, and every iteration draws from it in a
 fixed order: move-type choice, index/position draws, then the accept coin.
@@ -22,6 +23,7 @@ from .changepoints import (
     NEG_INF,
     ChangePoints,
     EvidenceCache,
+    log_gap_product,
     log_joint_evidence,
     log_posterior_unnorm,
 )
@@ -90,7 +92,6 @@ class Trace:
         self.retained = 0
         self.best_state: tuple[int, ...] | None = None
         self.best_log_post = NEG_INF
-        self.min_log_post = math.inf
 
     def record(self, iteration: int, cp: ChangePoints):
         pos = cp.positions
@@ -112,8 +113,6 @@ class Trace:
         if log_post > self.best_log_post:
             self.best_log_post = log_post
             self.best_state = cp.positions
-        if log_post < self.min_log_post:
-            self.min_log_post = log_post
 
     def acceptance_rates(self) -> dict[str, float]:
         return {
@@ -168,7 +167,10 @@ def _kth_free_position(cp: ChangePoints, k: int) -> int:
     return candidate
 
 
-def _propose_fixed_tagged(cp: ChangePoints, rng) -> tuple[ChangePoints, str]:
+def propose_fixed(cp: ChangePoints, rng) -> tuple[ChangePoints, str]:
+    """Candidate that differs from `cp` in one point, tagged "jump" or
+    "walk". The proposal is symmetric, so it adds no term to the acceptance
+    ratio."""
     ell = cp.ell
     if ell < 1:
         raise ValueError("the fixed-count proposal needs at least one change-point")
@@ -187,13 +189,6 @@ def _propose_fixed_tagged(cp: ChangePoints, rng) -> tuple[ChangePoints, str]:
         # (a guaranteed self-transition) so the kernel stays symmetric
         return cp, "walk"
     return cp.replace(i, target), "walk"
-
-
-def propose_fixed(cp: ChangePoints, rng) -> tuple[ChangePoints, float]:
-    """Candidate that differs from `cp` in one point; the proposal is
-    symmetric, so the log proposal ratio is always zero."""
-    cand, _ = _propose_fixed_tagged(cp, rng)
-    return cand, 0.0
 
 
 def propose_variable(
@@ -219,20 +214,11 @@ def propose_variable(
         return cp.insert(target), "birth"
     if move == "death":
         return cp.delete(int(rng.integers(ell))), "death"
-    cand, _ = _propose_fixed_tagged(cp, rng)
+    cand, _ = propose_fixed(cp, rng)
     return cand, "within"
 
 
 # ------------------------------------------------------------ acceptance
-
-
-def _log_gap_product(cp: ChangePoints) -> float:
-    total = 0.0
-    for g in cp.gaps():
-        if g <= 0:
-            return NEG_INF
-        total += math.log(g)
-    return total
 
 
 def log_move_correction(ell: int, ell_new: int, n: int, ell_max: int) -> float:
@@ -268,49 +254,29 @@ def log_move_correction(ell: int, ell_new: int, n: int, ell_max: int) -> float:
     )
 
 
-def accept_fixed(
+def log_accept_ratio(
     current: ChangePoints,
     candidate: ChangePoints,
     x: Sequence,
     params: BctHyperParams,
     cache: EvidenceCache,
-    rng,
-) -> tuple[ChangePoints, bool]:
-    """One accept/reject decision for the known-count chain. The ratio is the
-    evidence ratio times the segment-gap product ratio; the binomial prior
-    normaliser cancels at fixed count. Always consumes one accept coin."""
-    u = rng.random()
-    if candidate.positions == current.positions:
-        return current, True
-    new_gaps = _log_gap_product(candidate)
-    if new_gaps == NEG_INF:
-        return current, False
-    log_r = (
-        new_gaps
-        - _log_gap_product(current)
-        + log_joint_evidence(x, candidate, params, cache)
-        - log_joint_evidence(x, current, params, cache)
-    )
-    if log_r >= 0 or u < math.exp(log_r):
-        return candidate, True
-    return current, False
-
-
-def accept_ratio_variable(
-    current: ChangePoints,
-    candidate: ChangePoints,
-    x: Sequence,
-    params: BctHyperParams,
-    ell_max: int,
-    cache: EvidenceCache,
+    ell_max: int | None,
 ) -> float:
-    """Log acceptance ratio for the unknown-count chain."""
-    new_gaps = _log_gap_product(candidate)
+    """Log Metropolis-Hastings ratio of a move from `current` to `candidate`:
+    the gap-product and evidence ratios plus the move correction. The
+    uniform count prior cancels; the location prior's normaliser cancels at
+    equal counts and is part of the correction otherwise. The correction is
+    zero when the count is unchanged, so the known-count chain passes
+    `ell_max=None`. A zero-prior candidate gives -inf; an unchanged state
+    gives 0."""
+    if candidate.positions == current.positions:
+        return 0.0
+    new_gaps = log_gap_product(candidate)
     if new_gaps == NEG_INF:
         return NEG_INF
     return (
         new_gaps
-        - _log_gap_product(current)
+        - log_gap_product(current)
         + log_joint_evidence(x, candidate, params, cache)
         - log_joint_evidence(x, current, params, cache)
         + log_move_correction(current.ell, candidate.ell, current.n, ell_max)
@@ -381,18 +347,15 @@ def run(
     block_start = time.perf_counter()
     for t in range(config.iterations):
         if config.fixed_mode:
-            candidate, move = _propose_fixed_tagged(state, rng)
-            trace.proposed[move] = trace.proposed.get(move, 0) + 1
-            state, accepted = accept_fixed(state, candidate, x, params, cache, rng)
+            candidate, move = propose_fixed(state, rng)
         else:
             candidate, move = propose_variable(state, ell_max, rng)
-            trace.proposed[move] = trace.proposed.get(move, 0) + 1
-            log_r = accept_ratio_variable(state, candidate, x, params, ell_max, cache)
-            u = rng.random()
-            accepted = log_r >= 0 or u < math.exp(log_r)
-            if accepted:
-                state = candidate
-        if accepted:
+        trace.proposed[move] = trace.proposed.get(move, 0) + 1
+        log_r = log_accept_ratio(state, candidate, x, params, cache, ell_max)
+        # one accept coin per iteration, drawn even when the move is certain
+        u = rng.random()
+        if log_r >= 0 or u < math.exp(log_r):
+            state = candidate
             trace.accepted[move] = trace.accepted.get(move, 0) + 1
             log_post = log_posterior_unnorm(x, state, params, cache, ell_max)
             trace.note_score(state, log_post)

@@ -236,14 +236,6 @@ class CountTree:
             code //= m
         return tuple(out)
 
-    def has_context(self, context) -> bool:
-        d = len(context)
-        if d > self.params.depth:
-            return False
-        code = self.encode_context(context, self.params.m)
-        idx = np.searchsorted(self._codes[d], code)
-        return idx < self._codes[d].size and self._codes[d][idx] == code
-
     def count_vector(self, context) -> np.ndarray:
         """Counts of the symbols following `context`; zeros if never seen."""
         d = len(context)
@@ -260,9 +252,6 @@ class CountTree:
         m = self.params.m
         for code, row in zip(self._codes[d], self._counts[d]):
             yield self.decode_context(int(code), d, m), row.copy()
-
-    def node_count(self) -> int:
-        return int(sum(c.size for c in self._codes))
 
     # ---------------------------------------------------------- evidence
 
@@ -335,9 +324,6 @@ class CountTree:
         """Log posterior score of the maximising tree model."""
         self._ensure_map()
         return float(self._log_pm[0][0])
-
-    def log_pe_at(self, context) -> float:
-        return kt_log_prob(self.count_vector(context), self.params.m)
 
     def log_pw_at(self, context) -> float:
         """Weighted score of an observed node (for invariant checks)."""
@@ -443,17 +429,9 @@ class TreeModel:
         self.params = params
 
     @property
-    def contexts(self) -> frozenset:
-        """All nodes of the tree, internal and leaf."""
-        return self._nodes
-
-    @property
     def size(self) -> int:
         """Number of leaves."""
         return len(self.leaves)
-
-    def is_leaf(self, context) -> bool:
-        return tuple(context) in self.leaves
 
     def theta(self, leaf) -> np.ndarray:
         if self.params is None:

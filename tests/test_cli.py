@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import bctseg as b
+from bctseg import cli, mcmc
 from bctseg.cli import main
 
 from helpers import total_variation
@@ -114,6 +116,56 @@ class TestSegment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["retained"] == 2 * 900
 
+    @pytest.mark.parametrize("cpus, chains, workers", [(2, 3, 2), (None, 2, 1), (8, 3, 3)])
+    def test_chain_pool_capped_at_cpu_count(
+        self, toy_binary, tmp_path, monkeypatch, cpus, chains, workers
+    ):
+        created = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "run"
+        code = run_cli(
+            "segment", toy_binary, "--depth", 1, "--lmax", 2, "--iters", 300,
+            "--burnin", 100, "--seed", 7, "--chains", chains, "--out", out,
+        )
+        assert code == 0
+        assert created == [workers]
+        assert (out / f"trace_{chains - 1}.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["retained"] == chains * 200
+
+    def test_streaming_mode_writes_summary_without_trace(
+        self, toy_binary, tmp_path, monkeypatch, capsys
+    ):
+        # a state limit of 0 makes the chain keep histograms only, as it
+        # does when more samples are retained than the streaming limit
+        monkeypatch.setattr(cli, "run", functools.partial(mcmc.run, state_limit=0))
+        out = tmp_path / "run"
+        code = run_cli(
+            "segment", toy_binary, "--depth", 1, "--lmax", 2, "--iters", 1000,
+            "--burnin", 100, "--seed", 7, "--out", out,
+        )
+        assert code == 0
+        assert not (out / "trace.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["retained"] == 900
+        assert json.loads((out / "manifest.json").read_text())["command"] == "segment"
+        assert "trace.csv not written" in capsys.readouterr().err
+
     def test_matches_exact_posterior(self, toy_binary, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -211,6 +263,16 @@ class TestStationary:
         first, second = (seg["marginal"] for seg in obj["segments"])
         # regimes use disjoint symbol pairs, so the marginals must differ a lot
         assert abs(first[0] - second[0]) > 0.5
+
+
+class TestOutputs:
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        target = tmp_path / "summary.json"
+        target.write_text("earlier\n")
+        with pytest.raises(TypeError):
+            cli._write_atomic(target, cli._json({"bad": object()}, indent=2))
+        assert target.read_text() == "earlier\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestErrors:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import math
 from collections import Counter
 
@@ -40,8 +42,8 @@ class TestProposeFixed:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(400):
-            cand, ratio = b.propose_fixed(cp, rng)
-            assert ratio == 0.0
+            cand, move = b.propose_fixed(cp, rng)
+            assert move in ("jump", "walk")
             seen.add(cand.positions)
         assert seen == {(2,), (4,)}
 
@@ -84,7 +86,14 @@ class TestProposeFixed:
         assert abs(fwd - rev) <= 3 * sigma
 
 
+def accepts(log_r: float, u: float) -> bool:
+    """The sampler's accept rule for a coin u drawn uniformly from [0, 1)."""
+    return log_r >= 0 or u < math.exp(log_r)
+
+
 class TestAcceptFixed:
+    """Acceptance in the known-count chain, which passes no count cap."""
+
     def setup_method(self):
         raw = [0] * 9 + [1] * 9 + [0, 1]
         self.x = b.split_context(np.asarray(raw), 1, b.Alphabet.of_size(2))
@@ -93,17 +102,18 @@ class TestAcceptFixed:
 
     def test_same_state_always_accepted(self):
         cp = ChangePoints(self.x.n, (9,))
+        log_r = b.log_accept_ratio(cp, cp, self.x, self.params, self.cache, None)
+        assert log_r == 0.0
         rng = np.random.default_rng(0)
-        nxt, accepted = b.accept_fixed(cp, cp, self.x, self.params, self.cache, rng)
-        assert accepted and nxt is cp
+        assert all(accepts(log_r, rng.random()) for _ in range(20))
 
     def test_zero_prior_candidate_always_rejected(self):
         cp = ChangePoints(self.x.n, (9,))
         bad = ChangePoints(self.x.n, (2,))  # first gap weight is zero
+        log_r = b.log_accept_ratio(cp, bad, self.x, self.params, self.cache, None)
+        assert log_r == -math.inf
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            nxt, accepted = b.accept_fixed(cp, bad, self.x, self.params, self.cache, rng)
-            assert not accepted and nxt is cp
+            assert not accepts(log_r, np.random.default_rng(seed).random())
 
 
 class TestProposeVariable:
@@ -163,12 +173,15 @@ class TestMoveCorrection:
         cache = EvidenceCache()
         cur = ChangePoints(switch_sequence.n, (9,))
         cand = ChangePoints(switch_sequence.n, (12,))
-        got = b.accept_ratio_variable(cur, cand, switch_sequence, params, 3, cache)
+        got = b.log_accept_ratio(cur, cand, switch_sequence, params, cache, 3)
         manual = (
             b.log_posterior_unnorm(switch_sequence, cand, params, cache)
             - b.log_posterior_unnorm(switch_sequence, cur, params, cache)
         )
         assert got == pytest.approx(manual, abs=1e-12)
+        # the known-count chain uses the same ratio, with no count cap
+        fixed = b.log_accept_ratio(cur, cand, switch_sequence, params, cache, None)
+        assert fixed == got
 
 
 class TestEquispaced:
@@ -206,8 +219,40 @@ class TestRun:
     def test_visited_states_have_finite_posterior(self, switch_sequence):
         cfg = McmcConfig(iterations=5000, burn_in=0, seed=3, depth=1, ell_max=3)
         trace = b.run(switch_sequence, cfg)
-        assert trace.min_log_post > -math.inf
+        params, cache = BctHyperParams(2, 1), EvidenceCache()
+        for pos in set(trace.states):
+            cp = ChangePoints(switch_sequence.n, pos)
+            assert b.log_posterior_unnorm(switch_sequence, cp, params, cache, 3) > -math.inf
         assert trace.best_log_post > -math.inf
+
+    # Pinned digests of reference traces in both modes: any change to the
+    # proposals, the acceptance ratio or the order of random draws alters them.
+    @pytest.mark.parametrize(
+        "data, settings, digest",
+        [
+            ("switch", dict(iterations=2000, burn_in=100, seed=12, depth=1, num_changes=2),
+             "354f57f5f95f222078f9009ade2f9e98c47ca63c1d17827155b8ea6bcb301e52"),
+            ("switch", dict(iterations=2000, burn_in=100, seed=13, depth=1, ell_max=3),
+             "43ce65eda0ab7b17d10fac80cddbbaedb641744a414b87bf91c983ec221af7f8"),
+            ("ternary", dict(iterations=400, burn_in=0, seed=5, depth=4, num_changes=3),
+             "38fcfdf7640e617b6f6059ff9ef095dca3c2fa3092542daf03205c992605d7bc"),
+            ("ternary", dict(iterations=400, burn_in=0, seed=5, depth=4, ell_max=10),
+             "a086c98c4e84b4053e682137e746c51e26cfcd0175369a1ecbc8391ee0832307"),
+        ],
+    )
+    def test_traces_match_pinned_digests(self, switch_sequence, data, settings, digest):
+        if data == "switch":
+            x = switch_sequence
+        else:
+            x, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1, depth=4))
+        trace = b.run(x, McmcConfig(**settings))
+        record = json.dumps([
+            trace.states,
+            sorted(trace.accepted.items()),
+            sorted(trace.proposed.items()),
+            trace.best_state,
+        ])
+        assert hashlib.sha256(record.encode()).hexdigest() == digest
 
     def test_thinning_and_burn_in(self, switch_sequence):
         cfg = McmcConfig(
