@@ -23,6 +23,7 @@ from .trees import BctHyperParams, span_log_evidence
 NEG_INF = float("-inf")
 
 
+@dataclass(frozen=True, slots=True)
 class ChangePoints:
     """Sorted interior change-point locations for a length-n series.
 
@@ -31,21 +32,22 @@ class ChangePoints:
     prior (probability zero), not by the constructor.
     """
 
-    __slots__ = ("n", "positions")
+    n: int
+    positions: tuple[int, ...] = ()
 
-    def __init__(self, n: int, positions=()):
-        n = int(n)
+    def __post_init__(self):
+        n = int(self.n)
         if n < 3:
             raise ValueError("series too short to carry interior change-points")
-        pos = tuple(int(p) for p in positions)
+        pos = tuple(int(p) for p in self.positions)
         for p in pos:
             if not 2 <= p <= n - 1:
                 raise ValueError(f"change-point {p} outside {{2,..,{n - 1}}}")
         for a, b in zip(pos, pos[1:]):
             if a >= b:
                 raise ValueError("change-points must be strictly increasing")
-        self.n = n
-        self.positions = pos
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "positions", pos)
 
     @property
     def ell(self) -> int:
@@ -72,19 +74,6 @@ class ChangePoints:
         pos = list(self.positions)
         del pos[index]
         return ChangePoints(self.n, pos)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChangePoints)
-            and self.n == other.n
-            and self.positions == other.positions
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.positions))
-
-    def __repr__(self):
-        return f"ChangePoints(n={self.n}, positions={self.positions})"
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .changepoints import ChangePoints, exact_single_cp_posterior, partition
-from .mcmc import McmcConfig, Summary, Trace, run, summarize
+from .mcmc import McmcConfig, run, summarize
 from .sequences import (
     Alphabet,
     ParseError,
@@ -244,7 +244,11 @@ def _write_outputs(args, files: dict, parameters: dict, digest, started) -> Path
     """Write each named output into the --out directory, then manifest.json
     with the resolved parameters, the input digest and the tool version."""
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        message = f"cannot create output directory {args.out}: {exc.strerror}"
+        raise ValueError(message) from None
     for name, write in files.items():
         _write_atomic(outdir / name, write)
     manifest = {
@@ -259,27 +263,6 @@ def _write_outputs(args, files: dict, parameters: dict, digest, started) -> Path
 
 
 # ------------------------------------------------------------------ commands
-
-
-def _merge_summaries(traces: list[Trace]) -> Summary:
-    merged = traces[0]
-    if len(traces) == 1:
-        return summarize(merged)
-    combined = Trace(merged.n, merged.ell_cap, store_states=False)
-    for tr in traces:
-        combined.ell_counts += tr.ell_counts
-        combined.loc_counts += tr.loc_counts
-        for ell, table in tr.rank_counts.items():
-            if ell in combined.rank_counts:
-                combined.rank_counts[ell] += table
-            else:
-                combined.rank_counts[ell] = table.copy()
-        for move, c in tr.proposed.items():
-            combined.proposed[move] = combined.proposed.get(move, 0) + c
-        for move, c in tr.accepted.items():
-            combined.accepted[move] = combined.accepted.get(move, 0) + c
-        combined.retained += tr.retained
-    return summarize(combined)
 
 
 def cmd_segment(args) -> int:
@@ -317,7 +300,7 @@ def cmd_segment(args) -> int:
             )
         else:
             files[name] = tr.write_csv
-    summary = _merge_summaries(traces)
+    summary = summarize(*traces)
     files["summary.json"] = _json(summary.to_json_obj(), indent=2)
     if args.format == "csv":
         files["ell_hist.csv"] = _csv(sorted(summary.ell_hist.items()))
@@ -334,6 +317,10 @@ def cmd_segment(args) -> int:
         format=args.format,
     )
     outdir = _write_outputs(args, files, parameters, digest, started)
+    # drop what an earlier segment run left here and this one did not write
+    chain_traces = [p.name for p in outdir.glob("trace_*.csv") if p.stem[6:].isdigit()]
+    for name in {"trace.csv", "ell_hist.csv", "loc_hist.csv", *chain_traces} - files.keys():
+        (outdir / name).unlink(missing_ok=True)
     written = [str(outdir / name) for name in ("trace.csv", "summary.json") if name in files]
     print(f"wrote {', '.join(written)}")
     return 0
@@ -412,7 +399,10 @@ def cmd_generate(args) -> int:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"spec file is not valid JSON: {exc}") from None
-    spec = piecewise_spec_from_json(obj)
+    try:
+        spec = piecewise_spec_from_json(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"spec file does not match the spec layout: {exc!r}") from None
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     seq, truth = generate_piecewise(spec)
@@ -447,7 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

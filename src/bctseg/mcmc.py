@@ -8,13 +8,15 @@ ratio, in which the correction is zero whenever the count is unchanged.
 
 Each chain owns one seeded generator, and every iteration draws from it in a
 fixed order: move-type choice, index/position draws, then the accept coin.
-Runs are therefore reproducible given the seed.
+Runs are therefore reproducible given the seed. `summarize(*traces)` reads
+the histograms and MAP estimate off one trace or pools several chains.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,13 +115,6 @@ class Trace:
         if log_post > self.best_log_post:
             self.best_log_post = log_post
             self.best_state = cp.positions
-
-    def acceptance_rates(self) -> dict[str, float]:
-        return {
-            move: self.accepted.get(move, 0) / count
-            for move, count in self.proposed.items()
-            if count
-        }
 
     def write_csv(self, fh):
         """Rows iteration,ell,p_1,..,p_ell (ragged; no header)."""
@@ -368,26 +363,28 @@ def run(
     return trace
 
 
-def summarize(trace: Trace) -> Summary:
-    """Histograms and MAP readout from a trace.
+def summarize(*traces: Trace) -> Summary:
+    """Histograms and MAP readout pooled over the traces of one or more
+    chains: histograms, per-rank tables and move counts are summed.
 
     The count estimate is the histogram mode (ties to the smaller count); the
     location estimates are the per-rank marginal modes among the samples with
     that count, change-points matched to clusters by rank order.
     """
-    if trace.retained == 0:
+    retained = sum(tr.retained for tr in traces)
+    if retained == 0:
         raise ValueError("empty trace")
-    ell_hist = {
-        ell: int(c) for ell, c in enumerate(trace.ell_counts) if c > 0
-    }
-    loc_hist = {
-        int(p): int(c) for p, c in enumerate(trace.loc_counts) if c > 0
-    }
-    map_ell = int(np.argmax(trace.ell_counts))
+    ell_counts = sum(tr.ell_counts for tr in traces)
+    loc_counts = sum(tr.loc_counts for tr in traces)
+    proposed, accepted = Counter(), Counter()
+    for tr in traces:
+        proposed.update(tr.proposed)
+        accepted.update(tr.accepted)
+    map_ell = int(np.argmax(ell_counts))
     cond_hists: list[dict[int, int]] = []
     map_positions: tuple[int, ...] = ()
     if map_ell > 0:
-        by_rank = trace.rank_counts[map_ell]
+        by_rank = sum(tr.rank_counts[map_ell] for tr in traces if map_ell in tr.rank_counts)
         modes = []
         for k in range(map_ell):
             row = by_rank[k]
@@ -395,11 +392,12 @@ def summarize(trace: Trace) -> Summary:
             modes.append(int(np.argmax(row)))
         map_positions = tuple(modes)
     return Summary(
-        ell_hist=ell_hist,
-        loc_hist=loc_hist,
+        ell_hist={ell: int(c) for ell, c in enumerate(ell_counts) if c > 0},
+        loc_hist={int(p): int(c) for p, c in enumerate(loc_counts) if c > 0},
         cond_hists=cond_hists,
         map_ell=map_ell,
         map_positions=map_positions,
-        acceptance_rates=trace.acceptance_rates(),
-        retained=trace.retained,
+        # key order follows first proposal: summary.json keeps it unsorted
+        acceptance_rates={move: accepted[move] / c for move, c in proposed.items() if c},
+        retained=retained,
     )

@@ -10,7 +10,7 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
 from .sequences import Alphabet, Sequence
-from .trees import TreeModel, parse_context_string
+from .trees import CountTree, TreeModel, parse_context_string
 
 
 class NumericalError(RuntimeError):
@@ -130,7 +130,7 @@ def stationary_marginal(
     # state code: most recent symbol in the lowest base-m digit
     theta = np.empty((n_states, m))
     for code in range(n_states):
-        ctx = _decode_state(code, d, m)
+        ctx = CountTree.decode_context(code, d, m)
         theta[code] = model.theta(model.leaf_for(ctx[::-1]))
     drop_oldest = np.arange(n_states) % (m ** (d - 1))
     successors = np.stack([j + m * drop_oldest for j in range(m)], axis=1)
@@ -156,29 +156,20 @@ def stationary_marginal(
     return marginal
 
 
-def _decode_state(code: int, d: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(code % m)
-        code //= m
-    return tuple(out)
-
-
 def _require_unique_recurrent_class(kernel: sparse.csr_matrix):
-    n_comp, labels = connected_components(kernel > 0, connection="strong")
+    positive = kernel > 0
+    n_comp, labels = connected_components(positive, connection="strong")
     if n_comp == 1:
         return
-    # recurrent classes are the strongly connected components with no exits
-    coo = kernel.tocoo()
-    exits = set()
-    for i, j in zip(coo.row, coo.col):
-        if labels[i] != labels[j]:
-            exits.add(labels[i])
-    recurrent = set(range(n_comp)) - exits
-    if len(recurrent) != 1:
+    # recurrent classes are the strongly connected components with no exits;
+    # only positive-probability edges count, not stored zeros
+    edges = positive.tocoo()
+    src, dst = labels[edges.row], labels[edges.col]
+    recurrent = n_comp - np.unique(src[src != dst]).size
+    if recurrent != 1:
         raise NumericalError(
             "the fitted chain has no unique stationary distribution "
-            f"({len(recurrent)} recurrent classes)"
+            f"({recurrent} recurrent classes)"
         )
 
 

@@ -1,9 +1,10 @@
 """Context-tree machinery for variable-memory Markov chains.
 
 Holds per-context transition counts, Krichevsky-Trofimov integrated
-likelihoods, the context-tree-weighting evidence recursion, selection of the
-maximising (MAP) tree model, and a brute-force enumeration oracle used to
-validate the recursions on small model classes.
+likelihoods, the context-tree-weighting evidence recursion and the BCT
+recursion that selects the maximising (MAP) tree model (one bottom-up pass
+that differs only in how a node combines its stop and split terms), and a
+brute-force enumeration oracle used to validate both on small model classes.
 
 All probability arithmetic is carried out in the natural-log domain; the
 two-term weighting mixture uses log-sum-exp. Contexts are tuples of symbol
@@ -14,6 +15,7 @@ context one step further into the past.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product as _cartesian
 
 import numpy as np
@@ -29,29 +31,30 @@ def default_beta(m: int) -> float:
     return 1.0 - 2.0 ** (1 - m)
 
 
+@dataclass(frozen=True, slots=True)
 class BctHyperParams:
     """Alphabet size, maximum memory depth, and tree-prior hyperparameters.
 
     `beta` is the weight a node gives to stopping (being a leaf); the split
     weight 1 - beta is shared among the m subtrees through
-    alpha = (1-beta)**(1/(m-1)).
+    alpha = (1-beta)**(1/(m-1)). A `beta` of None resolves to the default.
     """
 
-    __slots__ = ("m", "depth", "beta")
+    m: int
+    depth: int
+    beta: float | None = None
 
-    def __init__(self, m: int, depth: int, beta: float | None = None):
-        if m < 2:
+    def __post_init__(self):
+        if self.m < 2:
             raise ValueError("alphabet size must be at least 2")
-        if depth < 0:
+        if self.depth < 0:
             raise ValueError("depth must be nonnegative")
-        if beta is None:
-            beta = default_beta(m)
-        beta = float(beta)
+        beta = float(default_beta(self.m) if self.beta is None else self.beta)
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie strictly between 0 and 1")
-        self.m = int(m)
-        self.depth = int(depth)
-        self.beta = beta
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "beta", beta)
 
     @property
     def alpha(self) -> float:
@@ -69,18 +72,6 @@ class BctHyperParams:
     def log_alpha(self) -> float:
         return math.log1p(-self.beta) / (self.m - 1)
 
-    def __repr__(self):
-        return f"BctHyperParams(m={self.m}, depth={self.depth}, beta={self.beta})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BctHyperParams)
-            and (self.m, self.depth, self.beta) == (other.m, other.depth, other.beta)
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.depth, self.beta))
-
 
 def kt_log_prob(counts, m: int | None = None) -> float:
     """Log marginal likelihood of a count vector under a Dirichlet(1/2,..,1/2)
@@ -96,15 +87,9 @@ def kt_log_prob(counts, m: int | None = None) -> float:
         raise ValueError("count vector length must equal the alphabet size")
     if a.size == 0 or a.min() < 0:
         raise ValueError("counts must be a nonempty vector of nonnegative integers")
-    total = int(a.sum())
-    if total == 0:
+    if not a.any():
         return 0.0
-    return float(
-        gammaln(a + 0.5).sum()
-        - m * _LGAMMA_HALF
-        - gammaln(total + 0.5 * m)
-        + gammaln(0.5 * m)
-    )
+    return float(_vector_kt(a[np.newaxis], m)[0])
 
 
 def leaf_posterior_mean(counts) -> np.ndarray:
@@ -157,7 +142,6 @@ class CountTree:
         self._log_pe = None
         self._log_pw = None
         self._log_pm = None
-        self._internal = None
 
     # ---------------------------------------------------------------- build
 
@@ -236,16 +220,21 @@ class CountTree:
             code //= m
         return tuple(out)
 
+    def _row(self, d: int, code: int) -> int:
+        """Row of the depth-d node with this context code; -1 if unobserved."""
+        table = self._codes[d]
+        idx = int(np.searchsorted(table, code))
+        return idx if idx < table.size and table[idx] == code else -1
+
     def count_vector(self, context) -> np.ndarray:
         """Counts of the symbols following `context`; zeros if never seen."""
         d = len(context)
         if d > self.params.depth:
             raise ValueError("context longer than the tree depth")
-        code = self.encode_context(context, self.params.m)
-        idx = np.searchsorted(self._codes[d], code)
-        if idx < self._codes[d].size and self._codes[d][idx] == code:
-            return self._counts[d][idx].copy()
-        return np.zeros(self.params.m, dtype=np.int64)
+        idx = self._row(d, self.encode_context(context, self.params.m))
+        if idx < 0:
+            return np.zeros(self.params.m, dtype=np.int64)
+        return self._counts[d][idx].copy()
 
     def contexts_at_depth(self, d: int):
         """Pairs (context tuple, count vector) for the observed depth-d nodes."""
@@ -253,7 +242,7 @@ class CountTree:
         for code, row in zip(self._codes[d], self._counts[d]):
             yield self.decode_context(int(code), d, m), row.copy()
 
-    # ---------------------------------------------------------- evidence
+    # ------------------------------------------------------- recursions
 
     def _parent_index(self, d: int) -> np.ndarray:
         """Row index of each depth-d node's parent in the depth-(d-1) table."""
@@ -261,89 +250,63 @@ class CountTree:
         parents = self._codes[d] % (m ** (d - 1)) if d > 1 else np.zeros_like(self._codes[d])
         return np.searchsorted(self._codes[d - 1], parents)
 
-    def _ensure_evidence(self):
-        if self._log_pw is not None:
-            return
+    def _bottom_up(self, combine, absent: np.ndarray) -> list[np.ndarray]:
+        """Per-depth scores of the observed nodes under the shared CTW/BCT
+        recursion. A depth-D node scores its KT likelihood pe; any other node
+        scores combine(log beta + pe, log(1-beta) + the sum of its m children's
+        scores), where an unobserved child at depth d scores absent[d]."""
         m, D = self.params.m, self.params.depth
         lb, l1b = self.params.log_beta, self.params.log_1mbeta
-        log_pe = [None] * (D + 1)
-        log_pw = [None] * (D + 1)
-        child_sum = None
-        for d in range(D, -1, -1):
-            pe = _vector_kt(self._counts[d], m)
-            if d == D:
-                pw = pe.copy()
-            else:
-                # absent children have weighted probability one: factor 0 in logs
-                pw = np.logaddexp(lb + pe, l1b + child_sum)
-            log_pe[d] = pe
-            log_pw[d] = pw
-            if d > 0:
-                child_sum = np.zeros(self._codes[d - 1].size)
-                np.add.at(child_sum, self._parent_index(d), pw)
-        self._log_pe = log_pe
-        self._log_pw = log_pw
-
-    def _ensure_map(self):
-        if self._log_pm is not None:
-            return
-        self._ensure_evidence()
-        m, D = self.params.m, self.params.depth
-        lb, l1b = self.params.log_beta, self.params.log_1mbeta
-        empty = _empty_log_pm(self.params)
-        log_pm = [None] * (D + 1)
-        internal = [None] * (D + 1)
+        if self._log_pe is None:
+            self._log_pe = [_vector_kt(counts, m) for counts in self._counts]
+        scores = [None] * (D + 1)
         child_sum = None
         for d in range(D, -1, -1):
             pe = self._log_pe[d]
-            if d == D:
-                pm = pe.copy()
-                internal[d] = np.zeros(pe.size, dtype=bool)
-            else:
-                stay = lb + pe
-                split = l1b + child_sum
-                # ties break toward the leaf (smaller model)
-                internal[d] = split > stay
-                pm = np.maximum(stay, split)
-            log_pm[d] = pm
+            scores[d] = pe if d == D else combine(lb + pe, l1b + child_sum)
             if d > 0:
-                # unobserved children contribute their data-free maximised score
-                child_sum = np.full(self._codes[d - 1].size, m * empty[d])
-                np.add.at(child_sum, self._parent_index(d), pm - empty[d])
-        self._log_pm = log_pm
-        self._internal = internal
-        self._empty_pm = empty
+                child_sum = np.full(self._codes[d - 1].size, m * absent[d])
+                np.add.at(child_sum, self._parent_index(d), scores[d] - absent[d])
+        return scores
+
+    def _weighted(self) -> list[np.ndarray]:
+        # an absent subtree has weighted probability one: score 0 in logs
+        if self._log_pw is None:
+            self._log_pw = self._bottom_up(np.logaddexp, np.zeros(self.params.depth + 1))
+        return self._log_pw
+
+    def _maximised(self) -> list[np.ndarray]:
+        # an absent subtree scores its data-free maximum
+        if self._log_pm is None:
+            self._log_pm = self._bottom_up(np.maximum, _empty_log_pm(self.params))
+        return self._log_pm
 
     def log_evidence(self) -> float:
         """Log of the prior predictive likelihood: all tree models of depth
         <= D and all leaf parameters integrated out."""
-        self._ensure_evidence()
-        return float(self._log_pw[0][0])
+        return float(self._weighted()[0][0])
 
     def root_log_pm(self) -> float:
         """Log posterior score of the maximising tree model."""
-        self._ensure_map()
-        return float(self._log_pm[0][0])
+        return float(self._maximised()[0][0])
 
     def log_pw_at(self, context) -> float:
         """Weighted score of an observed node (for invariant checks)."""
-        self._ensure_evidence()
         d = len(context)
-        code = self.encode_context(context, self.params.m)
-        idx = np.searchsorted(self._codes[d], code)
-        if idx >= self._codes[d].size or self._codes[d][idx] != code:
+        idx = self._row(d, self.encode_context(context, self.params.m))
+        if idx < 0:
             raise KeyError(f"context {context!r} not in the tree")
-        return float(self._log_pw[d][idx])
+        return float(self._weighted()[d][idx])
 
     # --------------------------------------------------------------- MAP tree
 
     def map_model(self, with_params: bool = False, max_leaves: int = 1_000_000):
         """The maximum a posteriori tree model, optionally with posterior-mean
         next-symbol probabilities attached to its leaves."""
-        self._ensure_map()
+        log_pm = self._maximised()
         m, D = self.params.m, self.params.depth
         l1b, lb = self.params.log_1mbeta, self.params.log_beta
-        empty = self._empty_pm
+        empty = _empty_log_pm(self.params)
         leaves: list[tuple[int, ...]] = []
 
         def expand_absent(prefix, d):
@@ -359,15 +322,15 @@ class CountTree:
         stack = [(0, 0, ())]
         while stack:
             code, d, ctx = stack.pop()
-            idx = int(np.searchsorted(self._codes[d], code))
-            if d == D or not self._internal[d][idx]:
+            idx = self._row(d, code)
+            # a node splits only when the split term strictly beats stopping,
+            # so ties break toward the leaf (the smaller model)
+            if d == D or not log_pm[d][idx] > lb + self._log_pe[d][idx]:
                 leaves.append(ctx)
                 continue
             for j in range(m):
                 child = code + j * m**d
-                table = self._codes[d + 1]
-                ci = int(np.searchsorted(table, child))
-                if ci < table.size and table[ci] == child:
+                if self._row(d + 1, child) >= 0:
                     stack.append((child, d + 1, ctx + (j,)))
                 else:
                     expand_absent(ctx + (j,), d + 1)

@@ -41,6 +41,12 @@ class TestChangePoints:
         assert cp.insert(2).positions == (2, 4, 7)
         assert cp.delete(1).positions == (4,)
 
+    def test_value_semantics(self):
+        cp = ChangePoints(np.int64(10), [np.int64(4), 7])
+        assert cp == ChangePoints(10, (4, 7)) != ChangePoints(11, (4, 7))
+        assert hash(cp) == hash((10, (4, 7)))
+        assert repr(cp) == "ChangePoints(n=10, positions=(4, 7))"
+
 
 class TestPartition:
     def test_no_change_points(self):

@@ -36,6 +36,27 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _short_segment_args(path, out):
+    return ("segment", path, "--depth", 1, "--lmax", 2, "--iters", 300,
+            "--burnin", 100, "--seed", 7, "--out", out)
+
+
+class _InProcessPool:
+    """Stand-in for ProcessPoolExecutor that runs the chains in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestExact:
     def test_posterior_csv(self, toy_fasta, tmp_path):
         out = tmp_path / "run"
@@ -122,18 +143,9 @@ class TestSegment:
     ):
         created = []
 
-        class InProcessPool:
+        class InProcessPool(_InProcessPool):
             def __init__(self, max_workers):
                 created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -165,6 +177,54 @@ class TestSegment:
         assert summary["retained"] == 900
         assert json.loads((out / "manifest.json").read_text())["command"] == "segment"
         assert "trace.csv not written" in capsys.readouterr().err
+
+    def test_streaming_run_removes_earlier_trace(self, toy_binary, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = _short_segment_args(toy_binary, out)
+        assert run_cli(*args) == 0
+        assert (out / "trace.csv").exists()
+        monkeypatch.setattr(cli, "run", functools.partial(mcmc.run, state_limit=0))
+        assert run_cli(*args) == 0
+        assert not (out / "trace.csv").exists()
+        assert (out / "summary.json").exists()
+
+    def test_fewer_chains_remove_earlier_chain_traces(self, toy_binary, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "trace_notes.csv").write_text("kept\n")
+        args = _short_segment_args(toy_binary, out)
+        assert run_cli(*args, "--chains", 3) == 0
+        assert (out / "trace_2.csv").exists()
+        assert run_cli(*args, "--chains", 2) == 0
+        assert (out / "trace_1.csv").exists()
+        assert not (out / "trace_2.csv").exists()
+        assert run_cli(*args) == 0
+        traces = sorted(p.name for p in out.glob("trace*.csv"))
+        assert traces == ["trace.csv", "trace_notes.csv"]
+
+    def test_json_run_removes_earlier_csv_histograms(self, toy_binary, tmp_path):
+        out = tmp_path / "run"
+        args = _short_segment_args(toy_binary, out)
+        assert run_cli(*args, "--format", "csv") == 0
+        assert (out / "ell_hist.csv").exists() and (out / "loc_hist.csv").exists()
+        assert run_cli(*args) == 0
+        assert not (out / "ell_hist.csv").exists()
+        assert not (out / "loc_hist.csv").exists()
+
+    def test_failed_run_keeps_earlier_outputs(self, toy_binary, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = _short_segment_args(toy_binary, out)
+        assert run_cli(*args, "--format", "csv") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing_summary(*traces):
+            raise ValueError("summary failed")
+
+        monkeypatch.setattr(cli, "run", functools.partial(mcmc.run, state_limit=0))
+        monkeypatch.setattr(cli, "summarize", failing_summary)
+        assert run_cli(*args) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_matches_exact_posterior(self, toy_binary, tmp_path):
         out = tmp_path / "run"
@@ -275,6 +335,13 @@ class TestOutputs:
         assert list(tmp_path.iterdir()) == [target]
 
 
+def _error_lines(capsys) -> int:
+    """Number of stderr lines, after checking they are all 'error:' lines."""
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("error: ") for line in lines)
+    return len(lines)
+
+
 class TestErrors:
     def test_unparseable_input(self, tmp_path):
         badfile = tmp_path / "bad.txt"
@@ -283,6 +350,25 @@ class TestErrors:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("exact", tmp_path / "nope.txt", "--depth", 1, "--out", tmp_path) == 3
+
+    @pytest.mark.parametrize(
+        "spec", [{"alphabet": ["0", "1"], "D": 1}, [1, 2]], ids=["missing-key", "wrong-shape"]
+    )
+    def test_malformed_spec(self, tmp_path, capsys, spec):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 3
+        assert _error_lines(capsys) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_input_is_directory(self, tmp_path, capsys):
+        assert run_cli("exact", tmp_path, "--depth", 1, "--out", tmp_path / "run") == 3
+        assert _error_lines(capsys) == 1
+
+    def test_out_below_regular_file(self, toy_binary, tmp_path, capsys):
+        out = toy_binary.parent / "toy.txt" / "run"
+        assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 2
+        assert _error_lines(capsys) == 1
 
     def test_env_flag_default(self, toy_binary, tmp_path, monkeypatch):
         monkeypatch.setenv("BCTSEG_DEPTH", "1")

@@ -331,6 +331,30 @@ class TestSummarize:
         pooled = sum(ell * c for ell, c in s.ell_hist.items())
         assert sum(s.loc_hist.values()) == pooled
 
+    def test_pools_chains(self, switch_sequence):
+        traces = [
+            b.run(switch_sequence, McmcConfig(
+                iterations=1500, burn_in=100, seed=s, depth=1, ell_max=2
+            ))
+            for s in (21, 22)
+        ]
+        pooled = b.summarize(*traces)
+        parts = [b.summarize(tr) for tr in traces]
+        assert pooled.retained == 2 * 1400
+        for field in ("ell_hist", "loc_hist"):
+            assert getattr(pooled, field) == dict(
+                sum((Counter(getattr(s, field)) for s in parts), Counter())
+            )
+        assert pooled.map_ell == int(np.argmax(traces[0].ell_counts + traces[1].ell_counts))
+        by_rank = traces[0].rank_counts[pooled.map_ell] + traces[1].rank_counts[pooled.map_ell]
+        assert pooled.cond_hists == [
+            {p: int(c) for p, c in enumerate(row) if c} for row in by_rank
+        ]
+        assert list(pooled.acceptance_rates) == list(traces[0].proposed)
+        for move, rate in pooled.acceptance_rates.items():
+            accepted = sum(tr.accepted.get(move, 0) for tr in traces)
+            assert rate == accepted / sum(tr.proposed[move] for tr in traces)
+
     def test_count_ties_break_low(self):
         trace = b.Trace(n=20, ell_cap=3)
         trace.record(0, ChangePoints(20, (5,)))

@@ -165,6 +165,13 @@ class TestStationaryMarginal:
         with pytest.raises(NumericalError, match="recurrent"):
             b.stationary_marginal(frozen)
 
+    def test_transient_state_with_zero_probability_edges(self):
+        # both rows put probability 0 on symbol 1, so state 1 is transient;
+        # the kernel stores those zero edges, which must not count as exits
+        alpha = Alphabet.of_size(2)
+        model = b.model_from_table(alpha, {"0": [1.0, 0.0], "1": [1.0, 0.0]})
+        assert np.array_equal(b.stationary_marginal(model), [1.0, 0.0])
+
     def test_state_space_cap(self):
         alpha = Alphabet.of_size(2)
         table = {}

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -43,6 +45,12 @@ class TestHyperParams:
         for bad in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(ValueError):
                 BctHyperParams(2, 2, bad)
+
+    def test_value_semantics(self):
+        p = BctHyperParams(np.int64(3), 2)
+        assert repr(p) == "BctHyperParams(m=3, depth=2, beta=0.75)"
+        assert p == BctHyperParams(3, 2, 0.75) != BctHyperParams(3, 2, 0.5)
+        assert hash(p) == hash((3, 2, 0.75))
 
 
 class TestKtLogProb:
@@ -216,6 +224,36 @@ class TestMapTree:
         for leaf in model.leaves:
             expect = b.leaf_posterior_mean(counts.count_vector(leaf))
             assert np.allclose(model.theta(leaf), expect, atol=1e-15)
+
+
+class TestPinnedResults:
+    # Digests of log_evidence() and of the MAP model with its leaf parameters,
+    # taken when the CTW and MAP recursions were still two separate passes.
+    # Sparse order-2 chains leave contexts unobserved, and with beta < 0.5 the
+    # MAP tree expands those data-free subtrees, which the m=2 enumeration
+    # oracle never reaches.
+    @pytest.mark.parametrize(
+        "m, depth, beta, n, seed, digest",
+        [
+            (3, 4, 0.2, 300, 0, "10a2fd6a816ecbc8d6b18bc22309d3fd8f1c36b34674601e600445bb3c3e6246"),
+            (4, 6, 0.1, 400, 1, "1356526fd453a002753816d6a00c08ba3a47e3eff20a4aaebb2f4bd8c3bdfc25"),
+            (4, 3, 0.45, 500, 3, "8e7a5190199447bf919103b43bc0d8fca6c825af0564755dc86540745a95fb2a"),
+            (3, 5, 0.05, 120, 4, "7e74fcda9aa7070c5a8c8d06c5d759fcdf879d56295076c31fe19a38c571fb1f"),
+        ],
+    )
+    def test_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(m, 0.2), size=m * m)
+        codes = [0, 0]
+        for _ in range(n + depth - 2):
+            codes.append(int(rng.choice(m, p=rows[codes[-1] * m + codes[-2]])))
+        tree = CountTree.from_arrays(np.array(codes), depth, BctHyperParams(m, depth, beta))
+        model = tree.map_model(with_params=True)
+        assert any(not tree.count_vector(s).any() for s in model.leaves)
+        blob = repr(tree.log_evidence()) + json.dumps(
+            model.to_json(b.Alphabet.of_size(m)), sort_keys=True
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestBruteForce:
