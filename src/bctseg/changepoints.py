@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .sequences import Sequence
-from .trees import BctHyperParams, span_log_evidence
+from .trees import BctHyperParams, evidence_row, span_log_evidence
 
 NEG_INF = float("-inf")
 
@@ -171,9 +171,11 @@ def log_prior_count(ell: int, ell_max: int) -> float:
 class EvidenceCache:
     """LRU cache of per-segment log evidence values keyed by (start, end).
 
-    Keys assume fixed depth and hyperparameters for the lifetime of the
-    cache; use a new cache whenever those change. A local move alters at most
-    two segments, so nearly every factor of the joint evidence is a cache hit.
+    Keys assume one series, fixed depth and fixed hyperparameters for the
+    lifetime of the cache; use a new cache whenever those change. A local
+    move alters at most two segments, so nearly every factor of the joint
+    evidence is a cache hit. The cache also holds up to two evidence rows,
+    of n floats each, that serve the misses on segments at the series ends.
     """
 
     def __init__(self, capacity: int = 1_000_000):
@@ -181,6 +183,7 @@ class EvidenceCache:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self._store: OrderedDict[tuple[int, int], float] = OrderedDict()
+        self._rows: dict[bool, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -203,9 +206,22 @@ class EvidenceCache:
         while len(store) > self.capacity:
             store.popitem(last=False)
 
+    def row(self, codes: np.ndarray, params: BctHyperParams, reverse: bool):
+        """`evidence_row(codes, params, reverse)` of the whole series, built
+        on the first call for each direction."""
+        row = self._rows.get(reverse)
+        if row is None:
+            row = self._rows[reverse] = evidence_row(codes, params, reverse)
+        return row
+
     @property
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._store),
+            "rows": len(self._rows),
+        }
 
 
 def log_joint_evidence(
@@ -214,21 +230,31 @@ def log_joint_evidence(
     params: BctHyperParams,
     cache: EvidenceCache | None = None,
 ) -> float:
-    """Sum of per-segment log evidences, fetched from the cache when present."""
+    """Sum of per-segment log evidences, fetched from the cache when present.
+
+    A cache miss on a segment that starts at 1 or ends at n is read off the
+    cache's forward or reverse evidence row of the whole series; any other
+    segment is counted afresh. Both give the same value bit for bit.
+    """
     if x.depth != params.depth:
         raise ValueError("sequence context length must equal params.depth")
     y = x.full_codes()
     D = params.depth
     total = 0.0
     for start, end in segment_spans(cp):
+        if cache is None:
+            total += span_log_evidence(y[start - 1 : D + end], params)
+            continue
         key = (start, end)
-        if cache is not None:
-            value = cache.lookup(key)
-            if value is None:
+        value = cache.lookup(key)
+        if value is None:
+            if start == 1:
+                value = cache.row(y, params, reverse=False)[end - 1]
+            elif end == cp.n:
+                value = cache.row(y, params, reverse=True)[start - 1]
+            else:
                 value = span_log_evidence(y[start - 1 : D + end], params)
-                cache.store(key, value)
-        else:
-            value = span_log_evidence(y[start - 1 : D + end], params)
+            cache.store(key, value)
         total += value
     return total
 

@@ -240,9 +240,23 @@ def _write_atomic(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_outputs(args, files: dict, parameters: dict, digest, started) -> Path:
+def _check_out(out: str) -> None:
+    """Refuse an --out that cannot become a directory (it, or the nearest of
+    its ancestors that exists, is not a directory) before any work is done;
+    nothing is created here."""
+    path = Path(out)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ValueError(f"cannot create output directory {out}: "
+                                 f"{existing} is not a directory")
+            return
+
+
+def _write_outputs(args, files: dict, parameters: dict, digest, started, **report) -> Path:
     """Write each named output into the --out directory, then manifest.json
-    with the resolved parameters, the input digest and the tool version."""
+    with the resolved parameters, the input digest, the tool version and
+    the entries of `report`."""
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -257,6 +271,7 @@ def _write_outputs(args, files: dict, parameters: dict, digest, started) -> Path
         "parameters": parameters,
         "input_digest": digest,
         "wall_clock_seconds": time.perf_counter() - started,
+        **report,
     }
     _write_atomic(outdir / "manifest.json", _json(manifest, indent=2, sort_keys=True))
     return outdir
@@ -316,7 +331,10 @@ def cmd_segment(args) -> int:
         chains=args.chains,
         format=args.format,
     )
-    outdir = _write_outputs(args, files, parameters, digest, started)
+    outdir = _write_outputs(
+        args, files, parameters, digest, started,
+        evidence_cache=[tr.cache_stats for tr in traces],
+    )
     # drop what an earlier segment run left here and this one did not write
     chain_traces = [p.name for p in outdir.glob("trace_*.csv") if p.stem[6:].isdigit()]
     for name in {"trace.csv", "ell_hist.csv", "loc_hist.csv", *chain_traces} - files.keys():
@@ -339,6 +357,9 @@ def cmd_exact(args) -> int:
     name = f"posterior.{args.format}"
     parameters["format"] = args.format
     outdir = _write_outputs(args, {name: write}, parameters, digest, started)
+    # drop the other format's file that an earlier exact run left here
+    other = "json" if args.format == "csv" else "csv"
+    (outdir / f"posterior.{other}").unlink(missing_ok=True)
     print(f"wrote {outdir / name}")
     return 0
 
@@ -436,6 +457,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return _HANDLERS[args.command](args)
     except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

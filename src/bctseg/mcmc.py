@@ -77,7 +77,8 @@ class Trace:
 
     States are kept as position tuples unless the retained-sample estimate
     exceeds the streaming limit, in which case only the histograms are
-    maintained. The best-scoring visited state is always tracked.
+    maintained. The best-scoring visited state is always tracked, and `run`
+    leaves the evidence cache's final `stats` in `cache_stats`.
     """
 
     def __init__(self, n: int, ell_cap: int, store_states: bool = True):
@@ -94,6 +95,7 @@ class Trace:
         self.retained = 0
         self.best_state: tuple[int, ...] | None = None
         self.best_log_post = NEG_INF
+        self.cache_stats: dict = {}
 
     def record(self, iteration: int, cp: ChangePoints):
         pos = cp.positions
@@ -360,6 +362,7 @@ def run(
             now = time.perf_counter()
             trace.block_seconds.append(now - block_start)
             block_start = now
+    trace.cache_stats = cache.stats
     return trace
 
 

@@ -15,6 +15,7 @@ context one step further into the past.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
@@ -22,8 +23,6 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .sequences import Alphabet, ParseError, Sequence
-
-_LGAMMA_HALF = float(gammaln(0.5))
 
 
 def default_beta(m: int) -> float:
@@ -89,7 +88,7 @@ def kt_log_prob(counts, m: int | None = None) -> float:
         raise ValueError("counts must be a nonempty vector of nonnegative integers")
     if not a.any():
         return 0.0
-    return float(_vector_kt(a[np.newaxis], m)[0])
+    return float(_vector_kt(a[np.newaxis], m, _kt_tables(int(a.sum()), m))[0])
 
 
 def leaf_posterior_mean(counts) -> np.ndarray:
@@ -100,15 +99,24 @@ def leaf_posterior_mean(counts) -> np.ndarray:
     return (a + 0.5) / (a.sum() + 0.5 * a.size)
 
 
-def _vector_kt(counts: np.ndarray, m: int) -> np.ndarray:
-    """KT log likelihood for each row of an integer count matrix."""
-    totals = counts.sum(axis=1)
-    return (
-        gammaln(counts + 0.5).sum(axis=1)
-        - m * _LGAMMA_HALF
-        - gammaln(totals + 0.5 * m)
-        + gammaln(0.5 * m)
-    )
+def _kt_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """gammaln(k + 1/2) and gammaln(k + m/2) for k = 0..n: every log-gamma
+    term of a KT likelihood whose counts total at most n."""
+    k = np.arange(n + 1, dtype=np.float64)
+    return gammaln(k + 0.5), gammaln(k + 0.5 * m)
+
+
+def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
+    """KT log likelihood for each row of an integer count matrix, with the
+    log-gamma terms read from `_kt_tables` of at least the largest row total."""
+    half, whole = tables
+    return half[counts].sum(axis=1) - m * half[0] - whole[counts.sum(axis=1)] + whole[0]
+
+
+def _require_code_range(params: BctHyperParams) -> None:
+    """Context codes of depth D plus the next symbol must fit in an int64."""
+    if params.m ** (params.depth + 1) >= 2**62:
+        raise ValueError("alphabet/depth combination overflows context codes")
 
 
 def _empty_log_pm(params: BctHyperParams) -> np.ndarray:
@@ -156,8 +164,7 @@ class CountTree:
         m, D = params.m, params.depth
         if n_context != D:
             raise ValueError("initial context length must equal the tree depth")
-        if m ** (D + 1) >= 2**62:
-            raise ValueError("alphabet/depth combination overflows context codes")
+        _require_code_range(params)
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         n = codes.size - n_context
         if n < 0:
@@ -179,10 +186,13 @@ class CountTree:
             uniq, cnt = np.unique(pairs, return_counts=True)
             owners = uniq // m
             symbols = uniq % m
-            nodes, inverse = np.unique(owners, return_inverse=True)
-            table = np.zeros((nodes.size, m), dtype=np.int64)
-            table[inverse, symbols] = cnt
-            node_codes.append(nodes)
+            # owners is sorted: a new node starts wherever it changes
+            first = np.empty(owners.size, dtype=bool)
+            first[0] = True
+            np.not_equal(owners[1:], owners[:-1], out=first[1:])
+            table = np.zeros((int(first.sum()), m), dtype=np.int64)
+            table[np.cumsum(first) - 1, symbols] = cnt
+            node_codes.append(owners[first])
             node_counts.append(table)
         return cls(params, node_codes, node_counts, n)
 
@@ -258,7 +268,8 @@ class CountTree:
         m, D = self.params.m, self.params.depth
         lb, l1b = self.params.log_beta, self.params.log_1mbeta
         if self._log_pe is None:
-            self._log_pe = [_vector_kt(counts, m) for counts in self._counts]
+            tables = _kt_tables(self.n, m)
+            self._log_pe = [_vector_kt(counts, m, tables) for counts in self._counts]
         scores = [None] * (D + 1)
         child_sum = None
         for d in range(D, -1, -1):
@@ -487,6 +498,92 @@ def ctw_log_evidence(seq: Sequence, params: BctHyperParams) -> float:
 def span_log_evidence(codes: np.ndarray, params: BctHyperParams) -> float:
     """Evidence of a contiguous code slice whose first D entries are context."""
     return CountTree.from_arrays(codes, params.depth, params).log_evidence()
+
+
+def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = False) -> array:
+    """Evidence of every segment of a code slice that shares one of its ends.
+
+    `codes` holds D context symbols and then L observations. Entry k of the
+    result is the evidence of observations 0..k (forward), or of
+    observations k..L-1 with the D symbols before observation k as their
+    context (reverse). Each entry equals `span_log_evidence` of that
+    segment bit for bit.
+
+    The sweep adds one observation at a time, in either direction, to a
+    count tree that holds every context of the slice, and rescores the D+1
+    nodes on the observation's context path from its counts and its
+    children's current scores, in the order and with the operations of
+    `CountTree._bottom_up`; that makes each score a function of the
+    counts alone, wherever the sweep started.
+    """
+    m, D = params.m, params.depth
+    _require_code_range(params)
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    L = codes.size - D
+    if L < 1:
+        raise ValueError("code array holds no observation after its context")
+
+    # Node ids, depth by depth in context-code order. The code puts the most
+    # recent symbol in the most significant digit, so the children of a node
+    # (one more symbol into the past) are one contiguous run of ids.
+    path = np.empty((L, D + 1), dtype=np.int32)
+    starts = []
+    ctx = np.zeros(L, dtype=np.int64)
+    offset = 0
+    for d in range(D + 1):
+        if d > 0:
+            ctx = ctx * m + codes[D - d : D - d + L]
+        nodes, inverse = np.unique(ctx, return_inverse=True)
+        path[:, d] = offset + inverse
+        if d > 0:
+            starts.append(offset + np.searchsorted(nodes // m, parents))
+        parents = nodes
+        offset += nodes.size
+    # depth-D nodes have no children; the last entry closes the final run
+    starts.append(np.full(parents.size + 1, offset))
+    child_start = array("i", np.concatenate(starts).astype(np.int32).tobytes())
+    path = array("i", path.tobytes())
+    symbols = codes[D:].tolist()
+
+    half_np, whole_np = _kt_tables(L, m)
+    half, whole = array("d", half_np.tobytes()), array("d", whole_np.tobytes())
+    m_half0, whole0 = m * half[0], whole[0]
+    counts = array("i", [0]) * (m * offset)
+    totals = array("i", [0]) * offset
+    scores = array("d", [0.0]) * offset
+    lb, l1b = params.log_beta, params.log_1mbeta
+    exp, log1p = math.exp, math.log1p
+    counts_np = np.frombuffer(counts, dtype=np.int32)
+    out = array("d", [0.0]) * L
+    for i in range(L - 1, -1, -1) if reverse else range(L):
+        sym = symbols[i]
+        for k in range(i * (D + 1) + D, i * (D + 1) - 1, -1):
+            v = path[k]
+            row = v * m
+            counts[row + sym] += 1
+            total = totals[v] + 1
+            totals[v] = total
+            if m < 8:
+                # numpy sums rows of fewer than 8 items in order
+                s = 0.0
+                for c in counts[row : row + m]:
+                    s += half[c]
+            else:
+                s = float(half_np[counts_np[row : row + m]].sum())
+            pe = s - m_half0 - whole[total] + whole0
+            c0, c1 = child_start[v], child_start[v + 1]
+            if c0 == c1:
+                scores[v] = pe
+                continue
+            # children in symbol order from 0.0, as np.add.at sums them
+            child_sum = 0.0
+            for c in scores[c0:c1]:
+                child_sum += c
+            a, b = lb + pe, l1b + child_sum
+            # np.logaddexp, term for term
+            scores[v] = a + log1p(exp(b - a)) if a > b else b + log1p(exp(a - b))
+        out[i] = scores[v]  # the root, last on the path
+    return out
 
 
 def map_tree(seq: Sequence, params: BctHyperParams, with_params: bool = False) -> TreeModel:

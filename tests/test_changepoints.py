@@ -128,7 +128,7 @@ class TestEvidenceCache:
         assert cache.lookup((1, 5)) is None
         cache.store((1, 5), -3.0)
         assert cache.lookup((1, 5)) == -3.0
-        assert cache.stats == {"hits": 1, "misses": 1, "entries": 1}
+        assert cache.stats == {"hits": 1, "misses": 1, "entries": 1, "rows": 0}
 
     def test_lru_eviction(self):
         cache = EvidenceCache(capacity=2)
@@ -183,6 +183,24 @@ class TestJointEvidence:
             with_cache = b.log_posterior_unnorm(x, cp, params, cache, ell_max=5)
             without = b.log_posterior_unnorm(x, cp, params, None, ell_max=5)
             assert with_cache == without
+
+
+    def test_rows_serve_both_ends_exactly(self, ternary_alphabet):
+        rng = np.random.default_rng(23)
+        raw = rng.choice(3, size=205, p=[0.6, 0.3, 0.1])
+        raw[100:] = (raw[100:] + 1) % 3
+        x = b.split_context(raw, 5, ternary_alphabet)
+        params = BctHyperParams(3, 5)
+        cache = EvidenceCache()
+        for _ in range(80):
+            ell = int(rng.integers(0, 4))
+            pos = sorted(rng.choice(np.arange(2, x.n), size=ell, replace=False))
+            cp = ChangePoints(x.n, pos)
+            with_cache = b.log_posterior_unnorm(x, cp, params, cache, ell_max=5)
+            without = b.log_posterior_unnorm(x, cp, params, None, ell_max=5)
+            assert with_cache == without
+        # the segment (1, n) and every first segment come off the forward row
+        assert cache.stats["rows"] == 2
 
 
 class TestLogPosteriorUnnorm:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import string
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ class TestExact:
         obj = json.loads((out / "posterior.json").read_text())
         assert len(obj["positions"]) == len(obj["probs"])
         assert sum(obj["probs"]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_json_run_removes_earlier_csv_posterior(self, toy_binary, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 0
+        assert (out / "posterior.csv").exists()
+        assert run_cli("exact", toy_binary, "--depth", 1, "--format", "json", "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "posterior.json"]
 
 
 class TestSegment:
@@ -159,6 +167,18 @@ class TestSegment:
         assert (out / f"trace_{chains - 1}.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["retained"] == chains * 200
+
+    def test_manifest_records_cache_figures_per_chain(self, toy_binary, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+        out = tmp_path / "run"
+        assert run_cli(*_short_segment_args(toy_binary, out), "--chains", 2) == 0
+        figures = json.loads((out / "manifest.json").read_text())["evidence_cache"]
+        assert len(figures) == 2
+        for chain in figures:
+            assert set(chain) == {"hits", "misses", "entries", "rows"}
+            # every configuration has a first and a last segment
+            assert chain["rows"] == 2
+            assert 0 < chain["entries"] <= chain["misses"] < chain["hits"]
 
     def test_streaming_mode_writes_summary_without_trace(
         self, toy_binary, tmp_path, monkeypatch, capsys
@@ -369,6 +389,35 @@ class TestErrors:
         out = toy_binary.parent / "toy.txt" / "run"
         assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 2
         assert _error_lines(capsys) == 1
+
+    @pytest.mark.parametrize("command", ["exact", "segment"])
+    def test_out_checked_before_the_job(self, toy_binary, tmp_path, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("the job ran before --out was checked")
+
+        monkeypatch.setattr(cli, "exact_single_cp_posterior", never)
+        monkeypatch.setattr(cli, "run", never)
+        out = toy_binary / "run"
+        args = ("exact", toy_binary, "--depth", 1, "--out", out)
+        if command == "segment":
+            args = _short_segment_args(toy_binary, out)
+        assert run_cli(*args) == 2
+        assert _error_lines(capsys) == 1
+
+    @pytest.mark.parametrize("command", ["exact", "segment"])
+    def test_context_code_overflow_is_usage_error(self, tmp_path, capsys, command):
+        # 64**11 context codes do not fit in an int64
+        labels = string.digits + string.ascii_letters + "+-"
+        series = tmp_path / "wide.txt"
+        series.write_text(labels[:40] + "\n")
+        out = tmp_path / "run"
+        args = [command, series, "--depth", 10, "--alphabet", labels, "--beta", 0.5,
+                "--out", out]
+        if command == "segment":
+            args += ["--lmax", 2, "--iters", 10, "--burnin", 0]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "overflows context codes" in err[0]
 
     def test_env_flag_default(self, toy_binary, tmp_path, monkeypatch):
         monkeypatch.setenv("BCTSEG_DEPTH", "1")

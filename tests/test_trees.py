@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 import bctseg as b
 from bctseg import BctHyperParams, CountTree, TreeModel
+from bctseg.trees import evidence_row, span_log_evidence
 
 from helpers import (
     count_contexts_by_hand,
@@ -254,6 +255,52 @@ class TestPinnedResults:
             model.to_json(b.Alphabet.of_size(m)), sort_keys=True
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+class TestEvidenceRow:
+    # Every entry must equal the batch kernel's value exactly: the sampler
+    # mixes row values and batch values, and cached posteriors are compared
+    # with uncached ones by ==.
+    @pytest.mark.parametrize(
+        "m, depth, beta, n, seed",
+        [
+            (2, 0, None, 60, 0),
+            (2, 3, 0.3, 150, 1),
+            (3, 4, None, 200, 2),
+            (3, 6, 0.05, 120, 3),
+            (4, 10, None, 250, 4),
+            (4, 10, 0.45, 90, 5),
+            (9, 2, None, 150, 6),  # rows of 8 or more counts are summed pairwise
+        ],
+    )
+    def test_matches_batch_kernel(self, m, depth, beta, n, seed):
+        rng = np.random.default_rng(seed)
+        # a sparse order-2 chain, so that many contexts repeat
+        rows = rng.dirichlet(np.full(m, 0.3), size=m * m)
+        codes = [0, 1]
+        for _ in range(n + depth - 2):
+            codes.append(int(rng.choice(m, p=rows[codes[-1] * m + codes[-2]])))
+        codes = np.array(codes)
+        params = BctHyperParams(m, depth, beta)
+        # the whole slice, and one that starts and ends inside the series
+        for lo, hi in [(0, n), (n // 3, n - n // 5)]:
+            part = codes[lo : depth + hi]
+            forward = evidence_row(part, params)
+            backward = evidence_row(part, params, reverse=True)
+            assert len(forward) == len(backward) == hi - lo
+            for k in range(hi - lo):
+                assert forward[k] == span_log_evidence(part[: depth + k + 1], params)
+                assert backward[k] == span_log_evidence(part[k:], params)
+
+    def test_context_code_overflow_rejected(self):
+        params = BctHyperParams(64, 10, 0.5)
+        codes = np.arange(40) % 64
+        for build in (
+            lambda: evidence_row(codes, params),
+            lambda: CountTree.from_arrays(codes, 10, params),
+        ):
+            with pytest.raises(ValueError, match="overflows context codes"):
+                build()
 
 
 class TestBruteForce:
