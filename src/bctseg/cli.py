@@ -5,10 +5,10 @@ posterior), maptree (per-segment MAP tree models), generate (piece-wise
 simulation from a spec file), stationary (per-segment stationary marginals).
 
 Every flag can also be set through the environment with the prefix BCTSEG_
-(e.g. BCTSEG_DEPTH=10). Each run writes a manifest.json with the resolved
-parameters, the input digest, and the tool version; outputs are byte-stable
-for a given seed. Exit codes: 0 success, 2 usage, 3 input parse failure,
-4 numerical failure.
+(e.g. BCTSEG_DEPTH=10); its value is checked like the flag's. Each run
+writes a manifest.json with the resolved parameters, the input digest, and
+the tool version; outputs are byte-stable for a given seed. Exit codes:
+0 success, 2 usage, 3 input parse failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -47,11 +47,34 @@ from .simulate import (
 from .trees import BctHyperParams, CountTree
 
 
-def _env_default(name, fallback=None, cast=str):
-    raw = os.environ.get(f"BCTSEG_{name}")
-    if raw is None:
-        return fallback
-    return cast(raw)
+class _EnvParser(argparse.ArgumentParser):
+    """Subcommand parser whose flags default to the environment variable
+    BCTSEG_<FLAG> when it is set (a flag on the command line still wins).
+    The value is checked with the flag's own type and choices when the
+    subcommand runs, and a bad value is a usage error naming the variable."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        from_env = set()
+        for action in self._actions:
+            if not action.option_strings or action.default is argparse.SUPPRESS:
+                continue
+            name = f"BCTSEG_{action.dest.upper()}"
+            raw = os.environ.get(name)
+            if raw is None:
+                continue
+            try:
+                value = raw if action.type is None else action.type(raw)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError
+            except ValueError:
+                self.error(f"{name}={raw!r} is not a valid {action.option_strings[0]} value")
+            action.default = value
+            action.required = False
+            from_env.add(action)
+        for group in self._mutually_exclusive_groups:
+            if from_env.intersection(group._group_actions):
+                group.required = False
+        return super().parse_known_args(args, namespace)
 
 
 def _fmt(v: float) -> str:
@@ -59,32 +82,20 @@ def _fmt(v: float) -> str:
 
 
 def _add_common_model_flags(p):
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=_env_default("DEPTH", None, int),
-        required=_env_default("DEPTH") is None,
-        help="maximum memory depth D",
-    )
+    p.add_argument("--depth", type=int, required=True, help="maximum memory depth D")
     p.add_argument(
         "--beta",
         type=float,
-        default=_env_default("BETA", None, float),
         help="leaf weight of the tree prior (default 1 - 2**-(m-1))",
     )
     p.add_argument(
         "--alphabet",
-        default=_env_default("ALPHABET"),
         help="symbol labels, e.g. ACGT or 0,1,2 (default: ACGT for FASTA, 01 otherwise)",
     )
 
 
 def _add_out_flag(p):
-    p.add_argument(
-        "--out",
-        default=_env_default("OUT", "."),
-        help="output directory (created if missing)",
-    )
+    p.add_argument("--out", default=".", help="output directory (created if missing)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,29 +104,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian change-point segmentation of discrete time series",
     )
     top.add_argument("--version", action="version", version=f"bctseg {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_EnvParser)
 
     seg = sub.add_parser("segment", help="sample the change-point posterior by MCMC")
     seg.add_argument("input")
     _add_common_model_flags(seg)
-    group = seg.add_mutually_exclusive_group(
-        required=_env_default("LMAX") is None and _env_default("NUM_CHANGES") is None
+    group = seg.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--lmax", type=int, help="maximum number of change-points (unknown-count mode)"
     )
     group.add_argument(
-        "--lmax", type=int, default=_env_default("LMAX", None, int),
-        help="maximum number of change-points (unknown-count mode)",
+        "--num-changes", type=int, help="known number of change-points (fixed-count mode)"
     )
-    group.add_argument(
-        "--num-changes", type=int, default=_env_default("NUM_CHANGES", None, int),
-        help="known number of change-points (fixed-count mode)",
-    )
-    seg.add_argument("--iters", type=int, default=_env_default("ITERS", 100_000, int))
-    seg.add_argument("--burnin", type=int, default=_env_default("BURNIN", 10_000, int))
-    seg.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
-    seg.add_argument("--thin", type=int, default=_env_default("THIN", 1, int))
-    seg.add_argument("--chains", type=int, default=_env_default("CHAINS", 1, int))
+    seg.add_argument("--iters", type=int, default=100_000)
+    seg.add_argument("--burnin", type=int, default=10_000)
+    seg.add_argument("--seed", type=int, default=0)
+    seg.add_argument("--thin", type=int, default=1)
+    seg.add_argument("--chains", type=int, default=1)
     seg.add_argument(
-        "--format", choices=("json", "csv"), default=_env_default("FORMAT", "json"),
+        "--format", choices=("json", "csv"), default="json",
         help="csv additionally writes ell_hist.csv and loc_hist.csv",
     )
     _add_out_flag(seg)
@@ -123,9 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     exact = sub.add_parser("exact", help="exact single change-point posterior")
     exact.add_argument("input")
     _add_common_model_flags(exact)
-    exact.add_argument(
-        "--format", choices=("csv", "json"), default=_env_default("FORMAT", "csv")
-    )
+    exact.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out_flag(exact)
 
     mt = sub.add_parser("maptree", help="MAP tree model of each segment")
@@ -133,23 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model_flags(mt)
     mt.add_argument(
         "--segments",
-        default=_env_default("SEGMENTS"),
         help="comma-separated interior change-points fixing the segmentation",
     )
     _add_out_flag(mt)
 
     gen = sub.add_parser("generate", help="simulate a piece-wise homogeneous chain")
     gen.add_argument("spec", help="generation spec JSON")
-    gen.add_argument(
-        "--seed", type=int, default=_env_default("SEED", None, int),
-        help="override the seed in the spec file",
-    )
+    gen.add_argument("--seed", type=int, help="override the seed in the spec file")
     _add_out_flag(gen)
 
     st = sub.add_parser("stationary", help="stationary marginal of each segment's MAP model")
     st.add_argument("input")
     _add_common_model_flags(st)
-    st.add_argument("--segments", default=_env_default("SEGMENTS"))
+    st.add_argument("--segments")
     _add_out_flag(st)
 
     return top

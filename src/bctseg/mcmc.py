@@ -15,7 +15,6 @@ the histograms and MAP estimate off one trace or pools several chains.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -91,7 +90,6 @@ class Trace:
         self.rank_counts: dict[int, np.ndarray] = {}
         self.proposed: dict[str, int] = {}
         self.accepted: dict[str, int] = {}
-        self.block_seconds: list[float] = []
         self.retained = 0
         self.best_state: tuple[int, ...] | None = None
         self.best_log_post = NEG_INF
@@ -188,20 +186,30 @@ def propose_fixed(cp: ChangePoints, rng) -> tuple[ChangePoints, str]:
     return cp.replace(i, target), "walk"
 
 
+def _move_menu(ell: int, ell_max: int) -> tuple[float, float]:
+    """P(death) and P(birth) at ell change-points; the rest is a within-count
+    move. Birth is forced from zero change-points, the three moves are equally
+    likely strictly inside {1,..,ell_max-1}, and at the cap a coin picks
+    death or within."""
+    if ell == 0:
+        return 0.0, 1.0
+    if ell < ell_max:
+        return 1 / 3, 1 / 3
+    return 0.5, 0.0
+
+
 def propose_variable(
     cp: ChangePoints, ell_max: int, rng
 ) -> tuple[ChangePoints, str]:
-    """Birth/death/within-count candidate per the boundary-aware move menu:
-    forced birth from zero change-points, a three-way choice strictly inside
-    {1,..,ell_max-1}, and a death/within coin at the cap."""
+    """Birth/death/within-count candidate drawn from `_move_menu`; no draw
+    picks the move when birth is forced."""
     ell = cp.ell
-    if ell == 0:
+    p_death, p_birth = _move_menu(ell, ell_max)
+    if p_birth == 1.0:
         move = "birth"
-    elif ell < ell_max:
-        u = rng.random()
-        move = "death" if u < 1 / 3 else ("birth" if u < 2 / 3 else "within")
     else:
-        move = "death" if rng.random() < 0.5 else "within"
+        u = rng.random()
+        move = "death" if u < p_death else ("birth" if u < p_death + p_birth else "within")
 
     if move == "birth":
         free = cp.n - ell - 2
@@ -220,35 +228,26 @@ def propose_variable(
 
 def log_move_correction(ell: int, ell_new: int, n: int, ell_max: int) -> float:
     """Log of the proposal/normalisation correction in the variable-count
-    acceptance ratio. Piecewise by move direction and boundary contact;
-    paired birth/death corrections are exact reciprocals. Raises on a
-    count change the move menu cannot produce."""
+    acceptance ratio. A birth from k to k+1 change-points contributes
+    P(death at k+1)/(k+1) over P(birth at k)/(n-k-2), the proposal
+    probabilities of the reverse and forward moves, times the location-prior
+    normalisers C(n-2, 2k+1)/C(n-2, 2k+3); a death is the negative of the
+    birth it undoes. Raises on a count change the move menu cannot produce."""
     if ell_new == ell:
         return 0.0
-    if ell_new == ell + 1:
-        if ell == 0:
-            return math.log(2 * (n - 2)) - math.log((n - 3) * (n - 4))
-        if ell_new == ell_max:
-            return math.log(3 * (2 * ell_max + 1) * (n - ell_max - 1)) - math.log(
-                (n - 2 * ell_max - 2) * (n - 2 * ell_max - 1)
-            )
-        return math.log(2 * (2 * ell_new + 1) * (n - ell_new - 1)) - math.log(
-            (n - 2 * ell_new - 2) * (n - 2 * ell_new - 1)
+    if abs(ell_new - ell) != 1:
+        raise ValueError(
+            f"no acceptance case for a move from ell={ell} to ell={ell_new}; "
+            "the proposal and the ratio are out of sync"
         )
-    if ell_new == ell - 1:
-        if ell == 1:
-            return math.log((n - 3) * (n - 4)) - math.log(2 * (n - 2))
-        if ell == ell_max:
-            return math.log((n - 2 * ell_max - 2) * (n - 2 * ell_max - 1)) - math.log(
-                3 * (2 * ell_max + 1) * (n - ell_max - 1)
-            )
-        return math.log((n - 2 * ell - 2) * (n - 2 * ell - 1)) - math.log(
-            2 * (2 * ell + 1) * (n - ell - 1)
-        )
-    raise ValueError(
-        f"no acceptance case for a move from ell={ell} to ell={ell_new}; "
-        "the proposal and the ratio are out of sync"
+    k = min(ell, ell_new)
+    p_birth = _move_menu(k, ell_max)[1]
+    p_death = _move_menu(k + 1, ell_max)[0]
+    j = 2 * k + 1
+    birth = math.log(p_death * (n - k - 2) * (j + 1) * (j + 2)) - math.log(
+        p_birth * (k + 1) * (n - 2 - j) * (n - 3 - j)
     )
+    return birth if ell_new > ell else -birth
 
 
 def log_accept_ratio(
@@ -341,7 +340,6 @@ def run(
     trace = Trace(n, cap, store_states=retained_estimate <= state_limit)
     trace.note_score(state, log_post)
 
-    block_start = time.perf_counter()
     for t in range(config.iterations):
         if config.fixed_mode:
             candidate, move = propose_fixed(state, rng)
@@ -358,10 +356,6 @@ def run(
             trace.note_score(state, log_post)
         if t >= config.burn_in and (t - config.burn_in) % config.thinning == 0:
             trace.record(t, state)
-        if (t + 1) % 1000 == 0:
-            now = time.perf_counter()
-            trace.block_seconds.append(now - block_start)
-            block_start = now
     trace.cache_stats = cache.stats
     return trace
 

@@ -66,10 +66,6 @@ class PiecewiseSpec:
                 raise ValueError("initial context symbol outside the alphabet")
         object.__setattr__(self, "initial_context", ctx)
 
-    @property
-    def total_length(self) -> int:
-        return sum(s.length for s in self.segments)
-
     def change_points(self) -> tuple[int, ...]:
         """Implied true change-point locations: segment j starts at p_{j-1}."""
         points = []
@@ -127,11 +123,11 @@ def stationary_marginal(
     if n_states > max_states:
         raise NumericalError(f"context state space too large ({n_states} states)")
 
-    # state code: most recent symbol in the lowest base-m digit
+    # state code: most recent symbol in the lowest base-m digit (the reverse
+    # of a count-tree context code), so it decodes to the window oldest first
     theta = np.empty((n_states, m))
     for code in range(n_states):
-        ctx = CountTree.decode_context(code, d, m)
-        theta[code] = model.theta(model.leaf_for(ctx[::-1]))
+        theta[code] = model.theta(model.leaf_for(CountTree.decode_context(code, d, m)))
     drop_oldest = np.arange(n_states) % (m ** (d - 1))
     successors = np.stack([j + m * drop_oldest for j in range(m)], axis=1)
 

@@ -9,7 +9,9 @@ brute-force enumeration oracle used to validate both on small model classes.
 All probability arithmetic is carried out in the natural-log domain; the
 two-term weighting mixture uses log-sum-exp. Contexts are tuples of symbol
 codes with the most recent symbol first, so the children of a node extend its
-context one step further into the past.
+context one step further into the past. Both evidence kernels walk the node
+layout of `_context_nodes`, the one place that decides context codes and node
+order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,17 @@ from .sequences import Alphabet, ParseError, Sequence
 
 
 def default_beta(m: int) -> float:
-    """Default mixing weight 1 - 2**-(m-1) for an m-symbol alphabet."""
-    return 1.0 - 2.0 ** (1 - m)
+    """Default mixing weight 1 - 2**-(m-1) for an m-symbol alphabet.
+
+    From m = 55 on that weight rounds to 1, which is no valid beta, so
+    those alphabets need an explicit one."""
+    beta = 1.0 - 2.0 ** (1 - m)
+    if beta == 1.0:
+        raise ValueError(
+            f"the default beta rounds to 1 for an alphabet of {m} symbols; "
+            "set one below 1 with --beta"
+        )
+    return beta
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +124,36 @@ def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
     return half[counts].sum(axis=1) - m * half[0] - whole[counts.sum(axis=1)] + whole[0]
 
 
-def _require_code_range(params: BctHyperParams) -> None:
-    """Context codes of depth D plus the next symbol must fit in an int64."""
-    if params.m ** (params.depth + 1) >= 2**62:
+def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
+    """The context tree of a code array that holds D context symbols and then
+    L observations, one depth at a time.
+
+    Yields, for d = 0..D, the sorted codes of the depth-d contexts that
+    occur, the node index of each observation's depth-d context, and the
+    index of each node's parent at depth d-1 (empty at the root, which is
+    always present). A context's code has its most recent symbol as the
+    leading base-m digit, so a node's code is its parent's code times m plus
+    the symbol one step further back, and the children of a node are one
+    run of consecutive nodes in symbol order. Each depth is derived from the
+    one above by marking which of the m slots under each node occur, without
+    sorting.
+    """
+    m, D = params.m, params.depth
+    # context codes of depth D plus the next symbol must fit in an int64
+    if m ** (D + 1) >= 2**62:
         raise ValueError("alphabet/depth combination overflows context codes")
+    nodes = np.zeros(1, dtype=np.int64)
+    inverse = np.zeros(L, dtype=np.int64)
+    yield nodes, inverse, np.zeros(0, dtype=np.int64)
+    for d in range(1, D + 1):
+        slot = inverse * m + codes[D - d : D - d + L]
+        seen = np.zeros(nodes.size * m, dtype=bool)
+        seen[slot] = True
+        inverse = np.cumsum(seen)[slot] - 1
+        slots = np.flatnonzero(seen)
+        parent = slots // m
+        nodes = nodes[parent] * m + slots % m
+        yield nodes, inverse, parent
 
 
 def _empty_log_pm(params: BctHyperParams) -> np.ndarray:
@@ -137,8 +174,9 @@ class CountTree:
     sequence, with cached log-domain node scores.
 
     Only observed contexts are materialised. Nodes at each depth are stored as
-    a sorted array of base-m context codes (least-significant digit = most
-    recent symbol) alongside an integer count matrix, which keeps both
+    a sorted array of base-m context codes in the layout of `_context_nodes`
+    (leading digit = most recent symbol, so a node's children are
+    consecutive) alongside an integer count matrix, which keeps both
     construction and the evidence recursion vectorised.
     """
 
@@ -164,36 +202,17 @@ class CountTree:
         m, D = params.m, params.depth
         if n_context != D:
             raise ValueError("initial context length must equal the tree depth")
-        _require_code_range(params)
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         n = codes.size - n_context
         if n < 0:
             raise ValueError("code array shorter than its declared context")
-        if n == 0:
-            return cls.empty(params)
-
         node_codes = []
         node_counts = []
-        nxt = codes[n_context:]
-        ctx = np.zeros(n, dtype=np.int64)
-        weight = 1
-        for d in range(D + 1):
-            if d > 0:
-                # symbol d steps back gets digit weight m**(d-1)
-                ctx = ctx + codes[n_context - d : n_context - d + n] * weight
-                weight *= m
-            pairs = ctx * m + nxt
-            uniq, cnt = np.unique(pairs, return_counts=True)
-            owners = uniq // m
-            symbols = uniq % m
-            # owners is sorted: a new node starts wherever it changes
-            first = np.empty(owners.size, dtype=bool)
-            first[0] = True
-            np.not_equal(owners[1:], owners[:-1], out=first[1:])
-            table = np.zeros((int(first.sum()), m), dtype=np.int64)
-            table[np.cumsum(first) - 1, symbols] = cnt
-            node_codes.append(owners[first])
-            node_counts.append(table)
+        nxt = codes[D:]
+        for nodes, inverse, _ in _context_nodes(codes, n, params):
+            counts = np.bincount(inverse * m + nxt, minlength=nodes.size * m)
+            node_codes.append(nodes)
+            node_counts.append(counts.reshape(nodes.size, m))
         return cls(params, node_codes, node_counts, n)
 
     @classmethod
@@ -205,30 +224,27 @@ class CountTree:
     @classmethod
     def empty(cls, params: BctHyperParams):
         """Tree over zero observations: a root with zero counts."""
-        m, D = params.m, params.depth
-        node_codes = [np.zeros(1, dtype=np.int64)]
-        node_counts = [np.zeros((1, m), dtype=np.int64)]
-        for _ in range(D):
-            node_codes.append(np.zeros(0, dtype=np.int64))
-            node_counts.append(np.zeros((0, m), dtype=np.int64))
-        return cls(params, node_codes, node_counts, 0)
+        return cls.from_arrays(np.zeros(params.depth, dtype=np.int64), params.depth, params)
 
     # ------------------------------------------------------------- accessors
 
     @staticmethod
     def encode_context(context, m: int) -> int:
+        """Code of a context tuple (most recent symbol first), as laid out by
+        `_context_nodes`: the most recent symbol is the leading base-m digit."""
         code = 0
-        for k, sym in enumerate(context):
-            code += int(sym) * m**k
+        for sym in context:
+            code = code * m + int(sym)
         return code
 
     @staticmethod
     def decode_context(code: int, depth: int, m: int) -> tuple[int, ...]:
+        """The depth-long context tuple of `code`, most recent symbol first."""
         out = []
         for _ in range(depth):
             out.append(int(code % m))
             code //= m
-        return tuple(out)
+        return tuple(out[::-1])
 
     def _row(self, d: int, code: int) -> int:
         """Row of the depth-d node with this context code; -1 if unobserved."""
@@ -254,12 +270,6 @@ class CountTree:
 
     # ------------------------------------------------------- recursions
 
-    def _parent_index(self, d: int) -> np.ndarray:
-        """Row index of each depth-d node's parent in the depth-(d-1) table."""
-        m = self.params.m
-        parents = self._codes[d] % (m ** (d - 1)) if d > 1 else np.zeros_like(self._codes[d])
-        return np.searchsorted(self._codes[d - 1], parents)
-
     def _bottom_up(self, combine, absent: np.ndarray) -> list[np.ndarray]:
         """Per-depth scores of the observed nodes under the shared CTW/BCT
         recursion. A depth-D node scores its KT likelihood pe; any other node
@@ -277,7 +287,8 @@ class CountTree:
             scores[d] = pe if d == D else combine(lb + pe, l1b + child_sum)
             if d > 0:
                 child_sum = np.full(self._codes[d - 1].size, m * absent[d])
-                np.add.at(child_sum, self._parent_index(d), scores[d] - absent[d])
+                parents = np.searchsorted(self._codes[d - 1], self._codes[d] // m)
+                np.add.at(child_sum, parents, scores[d] - absent[d])
         return scores
 
     def _weighted(self) -> list[np.ndarray]:
@@ -340,7 +351,7 @@ class CountTree:
                 leaves.append(ctx)
                 continue
             for j in range(m):
-                child = code + j * m**d
+                child = code * m + j
                 if self._row(d + 1, child) >= 0:
                     stack.append((child, d + 1, ctx + (j,)))
                 else:
@@ -517,30 +528,25 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
     counts alone, wherever the sweep started.
     """
     m, D = params.m, params.depth
-    _require_code_range(params)
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     L = codes.size - D
     if L < 1:
         raise ValueError("code array holds no observation after its context")
 
-    # Node ids, depth by depth in context-code order. The code puts the most
-    # recent symbol in the most significant digit, so the children of a node
-    # (one more symbol into the past) are one contiguous run of ids.
+    # Node ids, depth by depth in context-code order; the children of a node
+    # are one contiguous run of ids.
     path = np.empty((L, D + 1), dtype=np.int32)
     starts = []
-    ctx = np.zeros(L, dtype=np.int64)
     offset = 0
-    for d in range(D + 1):
-        if d > 0:
-            ctx = ctx * m + codes[D - d : D - d + L]
-        nodes, inverse = np.unique(ctx, return_inverse=True)
+    for d, (nodes, inverse, parent) in enumerate(_context_nodes(codes, L, params)):
         path[:, d] = offset + inverse
         if d > 0:
-            starts.append(offset + np.searchsorted(nodes // m, parents))
-        parents = nodes
-        offset += nodes.size
+            # parent is sorted: the run of node k starts at its first child
+            starts.append(offset + np.searchsorted(parent, np.arange(above)))
+        above = nodes.size
+        offset += above
     # depth-D nodes have no children; the last entry closes the final run
-    starts.append(np.full(parents.size + 1, offset))
+    starts.append(np.full(above + 1, offset))
     child_start = array("i", np.concatenate(starts).astype(np.int32).tobytes())
     path = array("i", path.tobytes())
     symbols = codes[D:].tolist()

@@ -425,3 +425,39 @@ class TestErrors:
         assert run_cli("exact", toy_binary, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["depth"] == 1
+
+    def test_env_value_checked_with_flag_type(self, toy_binary, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BCTSEG_DEPTH", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("exact", toy_binary, "--out", tmp_path / "run")
+        assert exc.value.code == 2
+        assert "BCTSEG_DEPTH" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_env_value_checked_against_flag_choices(
+        self, toy_binary, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("BCTSEG_FORMAT", "xml")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("exact", toy_binary, "--depth", 1, "--out", tmp_path / "run")
+        assert exc.value.code == 2
+        assert "BCTSEG_FORMAT" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_env_value_ignored_by_other_commands(self, tmp_path, monkeypatch):
+        # generate has no --chains, so BCTSEG_CHAINS does not concern it
+        monkeypatch.setenv("BCTSEG_CHAINS", "x")
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(b.piecewise_spec_to_json(b.ternary_benchmark_spec())))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 0
+
+    def test_default_beta_of_wide_alphabet_names_its_size(self, tmp_path, capsys):
+        # 1 - 2**-54 rounds to 1, so 55 symbols need an explicit --beta
+        labels = (string.digits + string.ascii_letters)[:55]
+        series = tmp_path / "wide.txt"
+        series.write_text(labels * 2 + "\n")
+        args = ["exact", series, "--depth", 1, "--alphabet", labels, "--out", tmp_path / "run"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "55" in err[0]
+        assert run_cli(*args, "--beta", 0.5) == 0

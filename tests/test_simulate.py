@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -158,6 +159,31 @@ class TestStationaryMarginal:
         expect = np.zeros(m)
         np.add.at(expect, np.arange(S) % m, pi)
         assert np.abs(marg - expect).max() < 1e-9
+
+    # Digests of the marginal's bytes for MAP models fitted to sparse order-3
+    # chains, taken when count trees put the most recent symbol in the last
+    # digit of a context code and the solver reversed decoded contexts.
+    @pytest.mark.parametrize(
+        "m, depth, beta, seed, digest",
+        [
+            (3, 5, 0.3, 7, "772ceaf14340480e0ae91302ede1cec8b5e0f6e0ee1441973d614f9658b3fb06"),
+            (4, 4, 0.2, 9, "c6143ecb168ebe3d57682f62f071e49b96f25e4e83e429672d7720fe4f51d983"),
+        ],
+    )
+    def test_fitted_model_matches_pinned_digest(self, m, depth, beta, seed, digest):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(m, 0.5), size=m**3)
+        codes = [0, 0, 0]
+        for _ in range(3000 + depth - 3):
+            row = (codes[-1] * m + codes[-2]) * m + codes[-3]
+            codes.append(int(rng.choice(m, p=rows[row])))
+        params = b.BctHyperParams(m, depth, beta)
+        model = b.CountTree.from_arrays(np.array(codes), depth, params).map_model(
+            with_params=True
+        )
+        assert model.depth >= 3
+        marg = b.stationary_marginal(model)
+        assert hashlib.sha256(marg.tobytes()).hexdigest() == digest
 
     def test_reducible_chain_rejected(self):
         alpha = Alphabet.of_size(2)

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 import bctseg as b
 from bctseg import BctHyperParams, CountTree, TreeModel
-from bctseg.trees import evidence_row, span_log_evidence
+from bctseg.trees import _context_nodes, evidence_row, span_log_evidence
 
 from helpers import (
     count_contexts_by_hand,
@@ -301,6 +301,47 @@ class TestEvidenceRow:
         ):
             with pytest.raises(ValueError, match="overflows context codes"):
                 build()
+
+
+class TestContextNodes:
+    # The sort-free layout must equal np.unique over context codes computed
+    # directly from the symbols, most recent symbol as the leading digit.
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_unique_over_direct_codes(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [(int(rng.integers(2, 12)), int(rng.integers(0, 11)), L)
+                 for L in (0, int(rng.integers(1, 30)), int(rng.integers(30, 501)))]
+        if seed == 0:
+            cases += [(2, 0, 0), (2, 0, 7), (11, 10, 0), (11, 10, 500)]
+        for m, depth, L in cases:
+            codes = rng.integers(0, m, size=depth + L)
+            if seed % 2:  # a series skewed toward 0, so that contexts repeat
+                codes = (np.cumsum(codes) % m) * (codes % 2)
+            layers = list(_context_nodes(codes, L, BctHyperParams(m, depth)))
+            assert len(layers) == depth + 1
+            above = None
+            for d, (nodes, inverse, parent) in enumerate(layers):
+                direct = np.zeros(L, dtype=np.int64)
+                for k in range(1, d + 1):
+                    direct = direct * m + codes[depth - k : depth - k + L]
+                expect, expect_inverse = np.unique(direct, return_inverse=True)
+                if d == 0:
+                    expect = np.zeros(1, dtype=np.int64)  # the root always exists
+                    expect_parent = np.zeros(0, dtype=np.int64)
+                else:
+                    expect_parent = np.searchsorted(above, expect // m)
+                assert np.array_equal(nodes, expect)
+                assert np.array_equal(inverse, expect_inverse.ravel())
+                assert np.array_equal(parent, expect_parent)
+                above = nodes
+
+    def test_empty_tree_is_a_root_without_counts(self):
+        for m, depth in [(2, 0), (3, 4), (11, 10)]:
+            tree = CountTree.empty(BctHyperParams(m, depth))
+            assert tree.n == 0
+            assert [c.size for c in tree._codes] == [1] + [0] * depth
+            assert [c.shape for c in tree._counts] == [(1, m)] + [(0, m)] * depth
+            assert not tree.count_vector(()).any()
 
 
 class TestBruteForce:
