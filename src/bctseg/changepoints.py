@@ -287,11 +287,12 @@ def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray
     Positions with zero prior weight come out exactly zero. Feasible because
     the single-change-point evidence factorises into just two segments per
     candidate position. Each of those segments occurs for one position only,
-    so no evidence value is cached.
+    so no evidence value is cached. Both gaps around the change-point must
+    be at least 1, so below five observations no position has prior mass.
     """
     n = x.n
-    if n < 4:
-        raise ValueError("need at least four observations")
+    if n < 5:
+        raise ValueError("need at least five observations")
     logs = np.full(n - 2, NEG_INF)
     for p in range(2, n):
         cp = ChangePoints(n, (p,))

@@ -9,9 +9,13 @@ brute-force enumeration oracle used to validate both on small model classes.
 All probability arithmetic is carried out in the natural-log domain; the
 two-term weighting mixture uses log-sum-exp. Contexts are tuples of symbol
 codes with the most recent symbol first, so the children of a node extend its
-context one step further into the past. Both evidence kernels walk the node
-layout of `_context_nodes`, the one place that decides context codes and node
-order.
+context one step further into the past. There are two evidence kernels, both
+in numpy: the batch builder scores one segment's count tree, and
+`evidence_row` scores every segment sharing one end of a slice in one sweep,
+one depth at a time. Both walk the node layout of `_context_nodes`, the one
+place that decides context codes and node order, and both read
+Krichevsky-Trofimov scores only from `_vector_kt`, the one place that knows
+numpy's summation order.
 """
 
 from __future__ import annotations
@@ -119,9 +123,18 @@ def _kt_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
     """KT log likelihood for each row of an integer count matrix, with the
-    log-gamma terms read from `_kt_tables` of at least the largest row total."""
+    log-gamma terms read from `_kt_tables` of at least the largest row total.
+    Rows of fewer than 8 counts are summed column by column, left to right,
+    as numpy sums such rows; wider rows numpy sums pairwise."""
     half, whole = tables
-    return half[counts].sum(axis=1) - m * half[0] - whole[counts.sum(axis=1)] + whole[0]
+    if m < 8:
+        row_sum, total = half[counts[:, 0]], counts[:, 0].copy()
+        for j in range(1, m):
+            row_sum += half[counts[:, j]]
+            total += counts[:, j]
+    else:
+        row_sum, total = half[counts].sum(axis=1), counts.sum(axis=1)
+    return row_sum - m * half[0] - whole[total] + whole[0]
 
 
 def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
@@ -520,76 +533,58 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
     context (reverse). Each entry equals `span_log_evidence` of that
     segment bit for bit.
 
-    The sweep adds one observation at a time, in either direction, to a
+    Step s of the sweep adds one observation, in either direction, to a
     count tree that holds every context of the slice, and rescores the D+1
-    nodes on the observation's context path from its counts and its
+    nodes on that observation's context path from their counts and their
     children's current scores, in the order and with the operations of
-    `CountTree._bottom_up`; that makes each score a function of the
-    counts alone, wherever the sweep started.
+    `CountTree._bottom_up`; that makes each score a function of the counts
+    alone, wherever the sweep started. The steps are scored one depth at a
+    time, deepest first, all steps at once: grouped by node (in step order
+    within a node), a step's counts are running sums over its group, and a
+    child's current score is the one it took at its latest step in the
+    group, or 0.0 while it has none, as an unreached subtree weighs one.
     """
     m, D = params.m, params.depth
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     L = codes.size - D
     if L < 1:
         raise ValueError("code array holds no observation after its context")
+    position = np.arange(L)
+    obs = position[::-1] if reverse else position
 
-    # Node ids, depth by depth in context-code order; the children of a node
-    # are one contiguous run of ids.
-    path = np.empty((L, D + 1), dtype=np.int32)
-    starts = []
-    offset = 0
-    for d, (nodes, inverse, parent) in enumerate(_context_nodes(codes, L, params)):
-        path[:, d] = offset + inverse
-        if d > 0:
-            # parent is sorted: the run of node k starts at its first child
-            starts.append(offset + np.searchsorted(parent, np.arange(above)))
-        above = nodes.size
-        offset += above
-    # depth-D nodes have no children; the last entry closes the final run
-    starts.append(np.full(above + 1, offset))
-    child_start = array("i", np.concatenate(starts).astype(np.int32).tobytes())
-    path = array("i", path.tobytes())
-    symbols = codes[D:].tolist()
+    def back(k):  # the symbol k steps before each step's observation
+        return codes[D - k : D - k + L][obs]
 
-    half_np, whole_np = _kt_tables(L, m)
-    half, whole = array("d", half_np.tobytes()), array("d", whole_np.tobytes())
-    m_half0, whole0 = m * half[0], whole[0]
-    counts = array("i", [0]) * (m * offset)
-    totals = array("i", [0]) * offset
-    scores = array("d", [0.0]) * offset
+    # node ids of each depth in step order; int32 keeps the row's heap small
+    node_ids = [inv.astype(np.int32)[obs] for _, inv, _ in _context_nodes(codes, L, params)]
+    tables = _kt_tables(L, m)
     lb, l1b = params.log_beta, params.log_1mbeta
-    exp, log1p = math.exp, math.log1p
-    counts_np = np.frombuffer(counts, dtype=np.int32)
-    out = array("d", [0.0]) * L
-    for i in range(L - 1, -1, -1) if reverse else range(L):
-        sym = symbols[i]
-        for k in range(i * (D + 1) + D, i * (D + 1) - 1, -1):
-            v = path[k]
-            row = v * m
-            counts[row + sym] += 1
-            total = totals[v] + 1
-            totals[v] = total
-            if m < 8:
-                # numpy sums rows of fewer than 8 items in order
-                s = 0.0
-                for c in counts[row : row + m]:
-                    s += half[c]
-            else:
-                s = float(half_np[counts_np[row : row + m]].sum())
-            pe = s - m_half0 - whole[total] + whole0
-            c0, c1 = child_start[v], child_start[v + 1]
-            if c0 == c1:
-                scores[v] = pe
-                continue
+    counts = np.empty((L, m), dtype=np.int64)
+    for d in range(D, -1, -1):
+        # node first, then step: the keys are unique, so any sort is stable
+        order = np.argsort(node_ids[d].astype(np.int64) * L + position)
+        ids = node_ids[d][order]
+        first = np.ones(L, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        group_start = np.maximum.accumulate(np.where(first, position, 0))
+        symbol = back(0)[order]
+        for j in range(m):
+            hit = symbol == j
+            run = np.cumsum(hit)
+            counts[:, j] = run - (run - hit)[group_start]
+        score = _vector_kt(counts, m, tables)
+        if d < D:
+            child_symbol = back(d + 1)[order]
             # children in symbol order from 0.0, as np.add.at sums them
-            child_sum = 0.0
-            for c in scores[c0:c1]:
-                child_sum += c
-            a, b = lb + pe, l1b + child_sum
-            # np.logaddexp, term for term
-            scores[v] = a + log1p(exp(b - a)) if a > b else b + log1p(exp(a - b))
-        out[i] = scores[v]  # the root, last on the path
-    return out
+            child_sum = np.zeros(L)
+            for j in range(m):
+                latest = np.maximum.accumulate(np.where(child_symbol == j, position, -1))
+                child_sum += np.where(latest >= group_start, below[order[latest]], 0.0)
+            score = np.logaddexp(lb + score, l1b + child_sum)
+        below = np.empty(L)
+        below[order] = score
+    # obs is its own inverse: entry k is the root's score at the step adding k
+    return array("d", below[obs].tobytes())
 
 
 def map_tree(seq: Sequence, params: BctHyperParams, with_params: bool = False) -> TreeModel:

@@ -390,6 +390,21 @@ class TestErrors:
         assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 2
         assert _error_lines(capsys) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_needs_five_observations(self, tmp_path, capsys, fmt):
+        # both gaps around the change-point must be at least 1: no position
+        # of four observations has prior mass, which used to write NaN
+        series = tmp_path / "four.txt"
+        series.write_text("0101")
+        out = tmp_path / "run"
+        args = ["exact", series, "--depth", 0, "--format", fmt, "--out", out]
+        assert run_cli(*args) == 2
+        assert _error_lines(capsys) == 1
+        assert not out.exists()
+        series.write_text("01011")
+        assert run_cli(*args) == 0
+        assert (out / f"posterior.{fmt}").is_file()
+
     @pytest.mark.parametrize("command", ["exact", "segment"])
     def test_out_checked_before_the_job(self, toy_binary, tmp_path, capsys, monkeypatch, command):
         def never(*args, **kwargs):

@@ -11,7 +11,13 @@ from scipy.special import logsumexp
 
 import bctseg as b
 from bctseg import BctHyperParams, CountTree, TreeModel
-from bctseg.trees import _context_nodes, evidence_row, span_log_evidence
+from bctseg.trees import (
+    _context_nodes,
+    _kt_tables,
+    _vector_kt,
+    evidence_row,
+    span_log_evidence,
+)
 
 from helpers import (
     count_contexts_by_hand,
@@ -76,6 +82,18 @@ class TestKtLogProb:
         assert b.kt_log_prob(counts) == pytest.approx(
             kt_log_prob_product(counts), abs=1e-10
         )
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 11])
+    def test_vector_kt_keeps_the_bits_of_numpy_row_sums(self, m):
+        # rows of fewer than 8 counts are summed column by column, which must
+        # give the bits of numpy's own row sums on every supported numpy
+        rng = np.random.default_rng(m)
+        counts = rng.integers(0, 300, size=(500, m))
+        counts[:50] = rng.integers(0, 3, size=(50, m))
+        tables = _kt_tables(int(counts.sum(axis=1).max()), m)
+        half, whole = tables
+        rows = half[counts].sum(axis=1) - m * half[0] - whole[counts.sum(axis=1)] + whole[0]
+        assert np.array_equal(_vector_kt(counts, m, tables), rows)
 
 
 class TestBuildCounts:
@@ -240,6 +258,12 @@ class TestPinnedResults:
             (4, 6, 0.1, 400, 1, "1356526fd453a002753816d6a00c08ba3a47e3eff20a4aaebb2f4bd8c3bdfc25"),
             (4, 3, 0.45, 500, 3, "8e7a5190199447bf919103b43bc0d8fca6c825af0564755dc86540745a95fb2a"),
             (3, 5, 0.05, 120, 4, "7e74fcda9aa7070c5a8c8d06c5d759fcdf879d56295076c31fe19a38c571fb1f"),
+            # KT rows of fewer than 8 counts are summed left to right and
+            # wider ones pairwise. The m=7 digest changes if rows are summed
+            # right to left, the m=8 and m=11 ones if left to right.
+            (7, 3, 0.1, 400, 5, "fcfff4204171498b5049c1da7be5ef0addd78832f0769492a1e6d5c93c2adaa7"),
+            (8, 3, 0.2, 1500, 5, "6a3f745d56de237f007fe67d5f001c8420da8e03aed12dda3b228317cbf3cd86"),
+            (11, 2, 0.1, 1000, 7, "4c9f317b5c4ad8117d3e16d6f6e9fc616f133ac45b7ddcdc55a445c39d7e938f"),
         ],
     )
     def test_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
@@ -262,7 +286,7 @@ class TestEvidenceRow:
     # mixes row values and batch values, and cached posteriors are compared
     # with uncached ones by ==.
     @pytest.mark.parametrize(
-        "m, depth, beta, n, seed",
+        "m, depth, beta, n, series",
         [
             (2, 0, None, 60, 0),
             (2, 3, 0.3, 150, 1),
@@ -270,17 +294,25 @@ class TestEvidenceRow:
             (3, 6, 0.05, 120, 3),
             (4, 10, None, 250, 4),
             (4, 10, 0.45, 90, 5),
+            (7, 3, None, 200, 7),  # the widest rows summed column by column
+            (8, 3, 0.2, 200, 8),
             (9, 2, None, 150, 6),  # rows of 8 or more counts are summed pairwise
+            (3, 5, None, 80, "constant"),  # one child per node for the whole sweep
+            (2, 4, 0.3, 80, "period-2"),
+            (3, 3, None, 1, 11),  # a single observation
         ],
     )
-    def test_matches_batch_kernel(self, m, depth, beta, n, seed):
-        rng = np.random.default_rng(seed)
-        # a sparse order-2 chain, so that many contexts repeat
-        rows = rng.dirichlet(np.full(m, 0.3), size=m * m)
-        codes = [0, 1]
-        for _ in range(n + depth - 2):
-            codes.append(int(rng.choice(m, p=rows[codes[-1] * m + codes[-2]])))
-        codes = np.array(codes)
+    def test_matches_batch_kernel(self, m, depth, beta, n, series):
+        if isinstance(series, str):
+            codes = np.arange(n + depth) % {"constant": 1, "period-2": 2}[series]
+        else:
+            # a sparse order-2 chain, so that many contexts repeat
+            rng = np.random.default_rng(series)
+            rows = rng.dirichlet(np.full(m, 0.3), size=m * m)
+            codes = [0, 1]
+            for _ in range(n + depth - 2):
+                codes.append(int(rng.choice(m, p=rows[codes[-1] * m + codes[-2]])))
+            codes = np.array(codes)
         params = BctHyperParams(m, depth, beta)
         # the whole slice, and one that starts and ends inside the series
         for lo, hi in [(0, n), (n // 3, n - n // 5)]:
