@@ -21,6 +21,7 @@ from .sequences import Sequence
 from .trees import BctHyperParams, evidence_row, span_log_evidence
 
 NEG_INF = float("-inf")
+CACHE_CAPACITY = 1_000_000  # evidence values an EvidenceCache keeps
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,10 +179,7 @@ class EvidenceCache:
     of n floats each, that serve the misses on segments at the series ends.
     """
 
-    def __init__(self, capacity: int = 1_000_000):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
+    def __init__(self):
         self._store: OrderedDict[tuple[int, int], float] = OrderedDict()
         self._rows: dict[bool, object] = {}
         self.hits = 0
@@ -203,7 +201,7 @@ class EvidenceCache:
         store = self._store
         store[key] = value
         store.move_to_end(key)
-        while len(store) > self.capacity:
+        while len(store) > CACHE_CAPACITY:
             store.popitem(last=False)
 
     def row(self, codes: np.ndarray, params: BctHyperParams, reverse: bool):

@@ -8,7 +8,7 @@ Every flag can also be set through the environment with the prefix BCTSEG_
 (e.g. BCTSEG_DEPTH=10); its value is checked like the flag's. Each run
 writes a manifest.json with the resolved parameters, the input digest, and
 the tool version; outputs are byte-stable for a given seed. Exit codes:
-0 success, 2 usage, 3 input parse failure, 4 numerical failure.
+0 success, 2 usage, 3 unreadable or unparseable input, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -185,17 +186,11 @@ def _load_sequence(path: str, depth: int, alphabet_arg: str | None):
 
 def _load_model_input(args):
     """The input series, the resolved hyperparameters, the input digest and
-    the manifest parameters shared by every command that fits models."""
+    the parameter values resolved by every command that fits models."""
     x, digest = _load_sequence(args.input, args.depth, args.alphabet)
     params = BctHyperParams(x.alphabet.size, args.depth, args.beta)
-    parameters = {
-        "input": args.input,
-        "alphabet": list(x.alphabet.labels),
-        "depth": args.depth,
-        "beta": params.beta,
-        "n": x.n,
-    }
-    return x, params, digest, parameters
+    resolved = {"alphabet": list(x.alphabet.labels), "beta": params.beta, "n": x.n}
+    return x, params, digest, resolved
 
 
 def _parse_segment_list(arg: str | None, n: int) -> ChangePoints:
@@ -243,47 +238,72 @@ def _write_atomic(path: Path, write) -> None:
 
 def _check_out(out: str) -> None:
     """Refuse an --out that cannot become a directory (it, or the nearest of
-    its ancestors that exists, is not a directory) before any work is done;
-    nothing is created here."""
+    its ancestors that exists, is not a directory, or its name cannot be
+    looked up) before any work is done; nothing is created here."""
     path = Path(out)
-    for existing in (path, *path.parents):
-        if existing.exists():
-            if not existing.is_dir():
-                raise ValueError(f"cannot create output directory {out}: "
-                                 f"{existing} is not a directory")
-            return
+    try:
+        for existing in (path, *path.parents):
+            if existing.exists():
+                if not existing.is_dir():
+                    raise ValueError(f"cannot create output directory {out}: "
+                                     f"{existing} is not a directory")
+                # a name too long for a directory fails its lookup there
+                for part in path.relative_to(existing).parts:
+                    (existing / part).exists()
+                return
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from None
 
 
-def _write_outputs(args, files: dict, parameters: dict, digest, started, **report) -> Path:
-    """Write each named output into the --out directory, then manifest.json
-    with the resolved parameters, the input digest, the tool version and
-    the entries of `report`."""
+# the names of the files each command can write besides manifest.json
+_OWN_FILES = {
+    "segment": r"trace(_[0-9]+)?\.csv|summary\.json|(ell|loc)_hist\.csv",
+    "exact": r"posterior\.(csv|json)",
+    "maptree": r"maptree\.json",
+    "stationary": r"stationary\.json",
+    "generate": r"sequence\.txt|changepoints\.json",
+}
+
+
+def _write_outputs(args, started, files: dict, digest: str, resolved: dict,
+                   shown=None, note: str = "", **report) -> None:
+    """The end of every command: write each named output into the --out
+    directory, then manifest.json (the parsed flags overlaid with the
+    `resolved` values as parameters, the input digest, the tool version and
+    the entries of `report`); remove each file of the running command that an
+    earlier run left there and this run did not write; and print the paths
+    of `shown` (by default the first output), followed by `note`."""
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
         message = f"cannot create output directory {args.out}: {exc.strerror}"
         raise ValueError(message) from None
     for name, write in files.items():
         _write_atomic(outdir / name, write)
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     manifest = {
         "command": args.command,
         "tool_version": __version__,
-        "parameters": parameters,
+        "parameters": {**flags, **resolved},
         "input_digest": digest,
         "wall_clock_seconds": time.perf_counter() - started,
         **report,
     }
     _write_atomic(outdir / "manifest.json", _json(manifest, indent=2, sort_keys=True))
-    return outdir
+    own = _OWN_FILES[args.command]
+    for path in outdir.iterdir():
+        if path.name not in files and re.fullmatch(own, path.name):
+            path.unlink()
+    shown = shown or list(files)[:1]
+    print(f"wrote {', '.join(str(outdir / name) for name in shown)}{note}")
 
 
 # ------------------------------------------------------------------ commands
 
 
-def cmd_segment(args) -> int:
-    started = time.perf_counter()
-    x, _, digest, parameters = _load_model_input(args)
+def cmd_segment(args) -> dict:
+    x, _, digest, resolved = _load_model_input(args)
     base = McmcConfig(
         iterations=args.iters,
         burn_in=args.burnin,
@@ -321,33 +341,16 @@ def cmd_segment(args) -> int:
     if args.format == "csv":
         files["ell_hist.csv"] = _csv(sorted(summary.ell_hist.items()))
         files["loc_hist.csv"] = _csv(sorted(summary.loc_hist.items()))
-    parameters.update(
-        mode="fixed" if base.fixed_mode else "variable",
-        num_changes=args.num_changes,
-        lmax=args.lmax,
-        iters=args.iters,
-        burnin=args.burnin,
-        thin=args.thin,
-        seed=args.seed,
-        chains=args.chains,
-        format=args.format,
-    )
-    outdir = _write_outputs(
-        args, files, parameters, digest, started,
+    resolved["mode"] = "fixed" if base.fixed_mode else "variable"
+    return dict(
+        files=files, digest=digest, resolved=resolved,
+        shown=[name for name in ("trace.csv", "summary.json") if name in files],
         evidence_cache=[tr.cache_stats for tr in traces],
     )
-    # drop what an earlier segment run left here and this one did not write
-    chain_traces = [p.name for p in outdir.glob("trace_*.csv") if p.stem[6:].isdigit()]
-    for name in {"trace.csv", "ell_hist.csv", "loc_hist.csv", *chain_traces} - files.keys():
-        (outdir / name).unlink(missing_ok=True)
-    written = [str(outdir / name) for name in ("trace.csv", "summary.json") if name in files]
-    print(f"wrote {', '.join(written)}")
-    return 0
 
 
-def cmd_exact(args) -> int:
-    started = time.perf_counter()
-    x, params, digest, parameters = _load_model_input(args)
+def cmd_exact(args) -> dict:
+    x, params, digest, resolved = _load_model_input(args)
     probs = exact_single_cp_posterior(x, params)
     positions = np.arange(2, x.n)
     if args.format == "csv":
@@ -355,14 +358,7 @@ def cmd_exact(args) -> int:
         write = _csv(itertools.chain(header, zip(positions, map(_fmt, probs))))
     else:
         write = _json({"positions": positions.tolist(), "probs": probs.tolist()})
-    name = f"posterior.{args.format}"
-    parameters["format"] = args.format
-    outdir = _write_outputs(args, {name: write}, parameters, digest, started)
-    # drop the other format's file that an earlier exact run left here
-    other = "json" if args.format == "csv" else "csv"
-    (outdir / f"posterior.{other}").unlink(missing_ok=True)
-    print(f"wrote {outdir / name}")
-    return 0
+    return dict(files={f"posterior.{args.format}": write}, digest=digest, resolved=resolved)
 
 
 def _fit_segment_models(x: Sequence, cp: ChangePoints, params: BctHyperParams):
@@ -376,34 +372,30 @@ def _fit_segment_models(x: Sequence, cp: ChangePoints, params: BctHyperParams):
     return fitted
 
 
-def _cmd_fit_segments(args, describe) -> int:
+def _cmd_fit_segments(args, describe) -> dict:
     """Shared body of maptree and stationary: fit the MAP tree model of each
-    segment and write one entry per segment to <command>.json, with the
+    segment and name one entry per segment for <command>.json, with the
     fields that `describe(model, alphabet)` returns."""
-    started = time.perf_counter()
-    x, params, digest, parameters = _load_model_input(args)
+    x, params, digest, resolved = _load_model_input(args)
     cp = _parse_segment_list(args.segments, x.n)
     fitted = _fit_segment_models(x, cp, params)
     segments = [
         {"start": view.start, "end": view.end, **describe(model, x.alphabet)}
         for view, model in fitted
     ]
-    name = f"{args.command}.json"
-    parameters["segments"] = list(cp.positions)
-    files = {name: _json({"segments": segments}, indent=2)}
-    outdir = _write_outputs(args, files, parameters, digest, started)
-    print(f"wrote {outdir / name}")
-    return 0
+    resolved["segments"] = list(cp.positions)
+    files = {f"{args.command}.json": _json({"segments": segments}, indent=2)}
+    return dict(files=files, digest=digest, resolved=resolved)
 
 
-def cmd_maptree(args) -> int:
+def cmd_maptree(args) -> dict:
     return _cmd_fit_segments(
         args,
         lambda model, alphabet: {"depth": model.depth, "model": model.to_json(alphabet)},
     )
 
 
-def cmd_stationary(args) -> int:
+def cmd_stationary(args) -> dict:
     return _cmd_fit_segments(
         args,
         lambda model, alphabet: {
@@ -413,8 +405,7 @@ def cmd_stationary(args) -> int:
     )
 
 
-def cmd_generate(args) -> int:
-    started = time.perf_counter()
+def cmd_generate(args) -> dict:
     raw = Path(args.spec).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:
@@ -439,12 +430,15 @@ def cmd_generate(args) -> int:
              "seed": spec.seed}
         ),
     }
-    parameters = {"spec": args.spec, "seed": spec.seed, "n": seq.n, "depth": spec.depth}
-    outdir = _write_outputs(args, files, parameters, digest, started)
-    print(f"wrote {outdir / 'sequence.txt'} ({seq.n + spec.depth} symbols)")
-    return 0
+    return dict(
+        files=files, digest=digest,
+        resolved={"seed": spec.seed, "n": seq.n, "depth": spec.depth},
+        note=f" ({seq.n + spec.depth} symbols)",
+    )
 
 
+# each command computes and names its outputs: it returns the keyword
+# arguments of `_write_outputs`, which main passes on
 _HANDLERS = {
     "segment": cmd_segment,
     "exact": cmd_exact,
@@ -455,12 +449,15 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
+        # an --out that cannot be created is a usage error (ValueError), so
+        # it is not reported as an unreadable input (OSError, exit 3)
         _check_out(args.out)
-        return _HANDLERS[args.command](args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+        _write_outputs(args, started, **_HANDLERS[args.command](args))
+        return 0
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -31,6 +31,7 @@ from .changepoints import (
 from .sequences import Sequence
 from .trees import BctHyperParams
 
+# a chain that would retain more samples keeps only its histograms
 STREAMING_STATE_LIMIT = 10_000_000
 
 
@@ -308,12 +309,7 @@ def initial_state(x: Sequence, config: McmcConfig) -> ChangePoints:
     return ChangePoints(x.n)
 
 
-def run(
-    x: Sequence,
-    config: McmcConfig,
-    cache: EvidenceCache | None = None,
-    state_limit: int = STREAMING_STATE_LIMIT,
-) -> Trace:
+def run(x: Sequence, config: McmcConfig) -> Trace:
     """Run one chain and return its trace. Deterministic given the seed."""
     params = config.hyper(x.alphabet.size)
     if x.depth != params.depth:
@@ -326,8 +322,7 @@ def run(
         raise ValueError("the unknown-count chain needs at least five observations")
 
     rng = np.random.default_rng(config.seed)
-    if cache is None:
-        cache = EvidenceCache()
+    cache = EvidenceCache()
     ell_max = config.ell_max
 
     state = initial_state(x, config)
@@ -337,7 +332,7 @@ def run(
 
     retained_estimate = (config.iterations - config.burn_in + config.thinning - 1)
     retained_estimate //= config.thinning
-    trace = Trace(n, cap, store_states=retained_estimate <= state_limit)
+    trace = Trace(n, cap, store_states=retained_estimate <= STREAMING_STATE_LIMIT)
     trace.note_score(state, log_post)
 
     for t in range(config.iterations):

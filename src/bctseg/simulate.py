@@ -10,7 +10,11 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
 from .sequences import Alphabet, Sequence
-from .trees import CountTree, TreeModel, parse_context_string
+from .trees import TreeModel, parse_context_string
+
+MAX_STATES = 1_000_000  # largest context state space stationary_marginal solves
+POWER_TOL = 1e-12  # max-norm step at which power iteration has converged
+POWER_MAX_ITER = 1_000_000
 
 
 class NumericalError(RuntimeError):
@@ -98,13 +102,7 @@ def generate_piecewise(spec: PiecewiseSpec) -> tuple[Sequence, tuple[int, ...]]:
     return seq, spec.change_points()
 
 
-def stationary_marginal(
-    model: TreeModel,
-    max_depth: int | None = None,
-    max_states: int = 1_000_000,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-) -> np.ndarray:
+def stationary_marginal(model: TreeModel) -> np.ndarray:
     """First-order symbol marginal of the stationary law of a fitted model.
 
     The chain on length-d context windows (d = deepest leaf) is solved
@@ -114,20 +112,21 @@ def stationary_marginal(
     """
     if model.params is None:
         raise ValueError("stationary analysis needs a model with parameters")
-    if max_depth is not None and model.depth > max_depth:
-        raise ValueError("model deeper than the allowed maximum")
     m, d = model.m, model.depth
     if d == 0:
         return model.theta(()).copy()
     n_states = m**d
-    if n_states > max_states:
+    if n_states > MAX_STATES:
         raise NumericalError(f"context state space too large ({n_states} states)")
 
-    # state code: most recent symbol in the lowest base-m digit (the reverse
-    # of a count-tree context code), so it decodes to the window oldest first
+    # state code: the window oldest first in base m, so the most recent
+    # symbol is the lowest digit and the states that leaf s selects are those
+    # whose len(s) lowest digits spell s
     theta = np.empty((n_states, m))
-    for code in range(n_states):
-        theta[code] = model.theta(model.leaf_for(CountTree.decode_context(code, d, m)))
+    for s in model.leaves:
+        k = len(s)
+        low = sum(c * m**i for i, c in enumerate(s))
+        theta.reshape(m ** (d - k), m**k, m)[:, low, :] = model.theta(s)
     drop_oldest = np.arange(n_states) % (m ** (d - 1))
     successors = np.stack([j + m * drop_oldest for j in range(m)], axis=1)
 
@@ -141,7 +140,7 @@ def stationary_marginal(
     if n_states <= 4096:
         pi = _solve_stationary_direct(kernel.toarray())
     else:
-        pi = _power_iteration(kernel, n_states, tol, max_iter)
+        pi = _power_iteration(kernel, n_states)
 
     residual = np.abs(pi @ kernel - pi).max()
     if residual > 1e-9:
@@ -186,11 +185,11 @@ def _solve_stationary_direct(P: np.ndarray) -> np.ndarray:
     return pi / total
 
 
-def _power_iteration(kernel, n_states, tol, max_iter):
+def _power_iteration(kernel, n_states):
     pi = np.full(n_states, 1.0 / n_states)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         new = pi @ kernel
-        if np.abs(new - pi).max() <= tol:
+        if np.abs(new - pi).max() <= POWER_TOL:
             return new
         pi = new
     raise NumericalError("power iteration did not converge")

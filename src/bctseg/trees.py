@@ -30,6 +30,9 @@ from scipy.special import gammaln, logsumexp
 
 from .sequences import Alphabet, ParseError, Sequence
 
+MAP_MAX_LEAVES = 1_000_000  # largest MAP tree map_model returns
+ENUMERATION_MAX_TREES = 100_000  # largest model class enumerate_proper_trees lists
+
 
 def default_beta(m: int) -> float:
     """Default mixing weight 1 - 2**-(m-1) for an m-symbol alphabet.
@@ -142,14 +145,13 @@ def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
     L observations, one depth at a time.
 
     Yields, for d = 0..D, the sorted codes of the depth-d contexts that
-    occur, the node index of each observation's depth-d context, and the
-    index of each node's parent at depth d-1 (empty at the root, which is
-    always present). A context's code has its most recent symbol as the
-    leading base-m digit, so a node's code is its parent's code times m plus
-    the symbol one step further back, and the children of a node are one
-    run of consecutive nodes in symbol order. Each depth is derived from the
-    one above by marking which of the m slots under each node occur, without
-    sorting.
+    occur (the root is always present) and the node index of each
+    observation's depth-d context. A context's code has its most recent
+    symbol as the leading base-m digit, so a node's code is its parent's
+    code times m plus the symbol one step further back, and the children of
+    a node are one run of consecutive nodes in symbol order. Each depth is
+    derived from the one above by marking which of the m slots under each
+    node occur, without sorting.
     """
     m, D = params.m, params.depth
     # context codes of depth D plus the next symbol must fit in an int64
@@ -157,16 +159,15 @@ def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
         raise ValueError("alphabet/depth combination overflows context codes")
     nodes = np.zeros(1, dtype=np.int64)
     inverse = np.zeros(L, dtype=np.int64)
-    yield nodes, inverse, np.zeros(0, dtype=np.int64)
+    yield nodes, inverse
     for d in range(1, D + 1):
         slot = inverse * m + codes[D - d : D - d + L]
         seen = np.zeros(nodes.size * m, dtype=bool)
         seen[slot] = True
         inverse = np.cumsum(seen)[slot] - 1
         slots = np.flatnonzero(seen)
-        parent = slots // m
-        nodes = nodes[parent] * m + slots % m
-        yield nodes, inverse, parent
+        nodes = nodes[slots // m] * m + slots % m
+        yield nodes, inverse
 
 
 def _empty_log_pm(params: BctHyperParams) -> np.ndarray:
@@ -222,7 +223,7 @@ class CountTree:
         node_codes = []
         node_counts = []
         nxt = codes[D:]
-        for nodes, inverse, _ in _context_nodes(codes, n, params):
+        for nodes, inverse in _context_nodes(codes, n, params):
             counts = np.bincount(inverse * m + nxt, minlength=nodes.size * m)
             node_codes.append(nodes)
             node_counts.append(counts.reshape(nodes.size, m))
@@ -335,7 +336,7 @@ class CountTree:
 
     # --------------------------------------------------------------- MAP tree
 
-    def map_model(self, with_params: bool = False, max_leaves: int = 1_000_000):
+    def map_model(self, with_params: bool = False):
         """The maximum a posteriori tree model, optionally with posterior-mean
         next-symbol probabilities attached to its leaves."""
         log_pm = self._maximised()
@@ -351,7 +352,7 @@ class CountTree:
                     expand_absent(prefix + (j,), d + 1)
             else:
                 leaves.append(prefix)
-            if len(leaves) > max_leaves:
+            if len(leaves) > MAP_MAX_LEAVES:
                 raise ValueError("MAP tree exceeds the leaf cap")
 
         stack = [(0, 0, ())]
@@ -369,7 +370,7 @@ class CountTree:
                     stack.append((child, d + 1, ctx + (j,)))
                 else:
                     expand_absent(ctx + (j,), d + 1)
-            if len(leaves) > max_leaves:
+            if len(leaves) > MAP_MAX_LEAVES:
                 raise ValueError("MAP tree exceeds the leaf cap")
 
         params = None
@@ -556,7 +557,7 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
         return codes[D - k : D - k + L][obs]
 
     # node ids of each depth in step order; int32 keeps the row's heap small
-    node_ids = [inv.astype(np.int32)[obs] for _, inv, _ in _context_nodes(codes, L, params)]
+    node_ids = [inv.astype(np.int32)[obs] for _, inv in _context_nodes(codes, L, params)]
     tables = _kt_tables(L, m)
     lb, l1b = params.log_beta, params.log_1mbeta
     counts = np.empty((L, m), dtype=np.int64)
@@ -600,10 +601,10 @@ def count_proper_trees(m: int, depth: int) -> int:
     return count
 
 
-def enumerate_proper_trees(m: int, depth: int, max_trees: int = 100_000):
+def enumerate_proper_trees(m: int, depth: int):
     """All proper m-ary trees of depth <= `depth` as frozensets of leaf tuples."""
     total = count_proper_trees(m, depth)
-    if total > max_trees:
+    if total > ENUMERATION_MAX_TREES:
         raise ValueError(f"model class too large to enumerate ({total} trees)")
 
     def build(budget):
@@ -629,9 +630,7 @@ def tree_log_prior(leaves, params: BctHyperParams) -> float:
     return (size - 1) * params.log_alpha + (size - at_max_depth) * params.log_beta
 
 
-def brute_force_evidence(
-    seq: Sequence, params: BctHyperParams, max_trees: int = 100_000
-) -> float:
+def brute_force_evidence(seq: Sequence, params: BctHyperParams) -> float:
     """Evidence by explicit enumeration: sum over every proper tree of its
     prior mass times the product of leaf-level KT likelihoods. Tractable only
     for small alphabets and shallow depth caps."""
@@ -644,6 +643,6 @@ def brute_force_evidence(
         return kt_cache[s]
 
     scores = []
-    for tree in enumerate_proper_trees(params.m, params.depth, max_trees):
+    for tree in enumerate_proper_trees(params.m, params.depth):
         scores.append(tree_log_prior(tree, params) + sum(leaf_kt(s) for s in tree))
     return float(logsumexp(scores))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import bctseg as b
-from bctseg import BctHyperParams, ChangePoints, EvidenceCache
+from bctseg import BctHyperParams, ChangePoints, EvidenceCache, changepoints
 
 from helpers import total_variation
 
@@ -123,15 +123,17 @@ class TestCountPrior:
 
 
 class TestEvidenceCache:
-    def test_hits_and_misses(self):
-        cache = EvidenceCache(capacity=10)
+    def test_hits_and_misses(self, monkeypatch):
+        monkeypatch.setattr(changepoints, "CACHE_CAPACITY", 10)
+        cache = EvidenceCache()
         assert cache.lookup((1, 5)) is None
         cache.store((1, 5), -3.0)
         assert cache.lookup((1, 5)) == -3.0
         assert cache.stats == {"hits": 1, "misses": 1, "entries": 1, "rows": 0}
 
-    def test_lru_eviction(self):
-        cache = EvidenceCache(capacity=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(changepoints, "CACHE_CAPACITY", 2)
+        cache = EvidenceCache()
         cache.store((1, 1), 1.0)
         cache.store((2, 2), 2.0)
         cache.lookup((1, 1))        # refresh (1,1); (2,2) is now oldest

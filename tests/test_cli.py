@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import string
@@ -185,7 +184,7 @@ class TestSegment:
     ):
         # a state limit of 0 makes the chain keep histograms only, as it
         # does when more samples are retained than the streaming limit
-        monkeypatch.setattr(cli, "run", functools.partial(mcmc.run, state_limit=0))
+        monkeypatch.setattr(mcmc, "STREAMING_STATE_LIMIT", 0)
         out = tmp_path / "run"
         code = run_cli(
             "segment", toy_binary, "--depth", 1, "--lmax", 2, "--iters", 1000,
@@ -203,7 +202,7 @@ class TestSegment:
         args = _short_segment_args(toy_binary, out)
         assert run_cli(*args) == 0
         assert (out / "trace.csv").exists()
-        monkeypatch.setattr(cli, "run", functools.partial(mcmc.run, state_limit=0))
+        monkeypatch.setattr(mcmc, "STREAMING_STATE_LIMIT", 0)
         assert run_cli(*args) == 0
         assert not (out / "trace.csv").exists()
         assert (out / "summary.json").exists()
@@ -241,7 +240,7 @@ class TestSegment:
         def failing_summary(*traces):
             raise ValueError("summary failed")
 
-        monkeypatch.setattr(cli, "run", functools.partial(mcmc.run, state_limit=0))
+        monkeypatch.setattr(mcmc, "STREAMING_STATE_LIMIT", 0)
         monkeypatch.setattr(cli, "summarize", failing_summary)
         assert run_cli(*args) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -317,6 +316,14 @@ class TestGenerate:
         assert (a / "sequence.txt").read_bytes() == (bdir / "sequence.txt").read_bytes()
         assert (a / "sequence.txt").read_bytes() != (c / "sequence.txt").read_bytes()
 
+    def test_stdout_names_sequence_and_length(self, tmp_path, capsys):
+        spec = b.piecewise_spec_to_json(b.ternary_benchmark_spec(seed=3, depth=4))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert run_cli("generate", spec_file, "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {out / 'sequence.txt'} (4304 symbols)\n"
+
     def test_bad_spec_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -345,7 +352,45 @@ class TestStationary:
         assert abs(first[0] - second[0]) > 0.5
 
 
+_MODEL_PARAMETERS = {"input", "alphabet", "depth", "beta", "n"}
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("command, keys", [
+        ("segment", _MODEL_PARAMETERS | {"mode", "num_changes", "lmax", "iters", "burnin",
+                                         "thin", "seed", "chains", "format"}),
+        ("exact", _MODEL_PARAMETERS | {"format"}),
+        ("maptree", _MODEL_PARAMETERS | {"segments"}),
+        ("stationary", _MODEL_PARAMETERS | {"segments"}),
+        ("generate", {"spec", "seed", "n", "depth"}),
+    ])
+    def test_manifest_parameter_keys(self, toy_binary, tmp_path, command, keys):
+        # the parameters are the parsed flags without --out, overlaid with the
+        # values the command resolved: a new flag shows up here
+        out = tmp_path / "run"
+        if command == "generate":
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(json.dumps(b.piecewise_spec_to_json(
+                b.ternary_benchmark_spec(depth=4))))
+            args = ["generate", spec_file, "--out", out]
+        elif command == "segment":
+            args = _short_segment_args(toy_binary, out)
+        else:
+            args = [command, toy_binary, "--depth", 1, "--out", out]
+        assert run_cli(*args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["parameters"]) == keys
+
+    def test_maptree_and_stationary_share_an_out(self, toy_binary, tmp_path, capsys):
+        out = tmp_path / "run"
+        for command in ("maptree", "stationary"):
+            assert run_cli(command, toy_binary, "--depth", 2, "--out", out) == 0
+            assert capsys.readouterr().out == f"wrote {out / command}.json\n"
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["manifest.json", "maptree.json", "stationary.json"]
+        assert json.loads((out / "manifest.json").read_text())["command"] == "stationary"
+
     def test_failed_write_keeps_earlier_file(self, tmp_path):
         target = tmp_path / "summary.json"
         target.write_text("earlier\n")
@@ -389,6 +434,26 @@ class TestErrors:
         out = toy_binary.parent / "toy.txt" / "run"
         assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 2
         assert _error_lines(capsys) == 1
+
+    @pytest.mark.parametrize("where, code", [
+        ("input", 3), ("spec", 3), ("out", 2), ("nested-out", 2),
+    ])
+    def test_name_too_long(self, toy_binary, tmp_path, capsys, where, code):
+        # a 300-byte name is longer than the 255 bytes that common file
+        # systems allow for one name
+        long = "a" * 300
+        args = ["exact", toy_binary, "--depth", 1, "--out", tmp_path / "run"]
+        if where == "input":
+            args[1] = tmp_path / long
+        elif where == "spec":
+            args = ["generate", tmp_path / f"{long}.json", "--out", tmp_path / "run"]
+        elif where == "out":
+            args[-1] = tmp_path / long
+        else:
+            args[-1] = tmp_path / "run" / long / "deeper"
+        assert run_cli(*args) == code
+        assert _error_lines(capsys) == 1
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_exact_needs_five_observations(self, tmp_path, capsys, fmt):

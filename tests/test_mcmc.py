@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bctseg as b
-from bctseg import BctHyperParams, ChangePoints, EvidenceCache, McmcConfig
+from bctseg import BctHyperParams, ChangePoints, EvidenceCache, McmcConfig, mcmc
 from bctseg.mcmc import equispaced_positions, log_move_correction
 
 from helpers import (
@@ -282,10 +282,11 @@ class TestRun:
         assert trace.iterations[0] == 200
         assert trace.iterations[-1] == 990
 
-    def test_streaming_mode_matches_histograms(self, switch_sequence):
+    def test_streaming_mode_matches_histograms(self, switch_sequence, monkeypatch):
         cfg = McmcConfig(iterations=2000, burn_in=100, seed=5, depth=1, ell_max=2)
         full = b.run(switch_sequence, cfg)
-        slim = b.run(switch_sequence, cfg, state_limit=10)
+        monkeypatch.setattr(mcmc, "STREAMING_STATE_LIMIT", 10)
+        slim = b.run(switch_sequence, cfg)
         assert slim.states is None
         assert np.array_equal(slim.ell_counts, full.ell_counts)
         assert np.array_equal(slim.loc_counts, full.loc_counts)

@@ -209,12 +209,6 @@ class TestStationaryMarginal:
         with pytest.raises(NumericalError, match="too large"):
             b.stationary_marginal(model)
 
-    def test_depth_cap_argument(self):
-        alpha = Alphabet.of_size(2)
-        model = b.model_from_table(alpha, {"0": [0.9, 0.1], "1": [0.5, 0.5]})
-        with pytest.raises(ValueError, match="deeper"):
-            b.stationary_marginal(model, max_depth=0)
-
 
 class TestSpecJson:
     def test_round_trip(self):

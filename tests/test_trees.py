@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import bctseg as b
-from bctseg import BctHyperParams, CountTree, TreeModel
+from bctseg import BctHyperParams, CountTree, TreeModel, trees
 from bctseg.trees import (
     _context_nodes,
     _kt_tables,
@@ -351,21 +351,15 @@ class TestContextNodes:
                 codes = (np.cumsum(codes) % m) * (codes % 2)
             layers = list(_context_nodes(codes, L, BctHyperParams(m, depth)))
             assert len(layers) == depth + 1
-            above = None
-            for d, (nodes, inverse, parent) in enumerate(layers):
+            for d, (nodes, inverse) in enumerate(layers):
                 direct = np.zeros(L, dtype=np.int64)
                 for k in range(1, d + 1):
                     direct = direct * m + codes[depth - k : depth - k + L]
                 expect, expect_inverse = np.unique(direct, return_inverse=True)
                 if d == 0:
                     expect = np.zeros(1, dtype=np.int64)  # the root always exists
-                    expect_parent = np.zeros(0, dtype=np.int64)
-                else:
-                    expect_parent = np.searchsorted(above, expect // m)
                 assert np.array_equal(nodes, expect)
                 assert np.array_equal(inverse, expect_inverse.ravel())
-                assert np.array_equal(parent, expect_parent)
-                above = nodes
 
     def test_empty_tree_is_a_root_without_counts(self):
         for m, depth in [(2, 0), (3, 4), (11, 10)]:
@@ -395,9 +389,10 @@ class TestBruteForce:
             assert total == pytest.approx(1.0, abs=1e-12)
         assert b.count_proper_trees(2, 3) == 26
 
-    def test_enumeration_guard(self):
+    def test_enumeration_guard(self, monkeypatch):
+        monkeypatch.setattr(trees, "ENUMERATION_MAX_TREES", 1000)
         with pytest.raises(ValueError, match="too large"):
-            b.enumerate_proper_trees(2, 6, max_trees=1000)
+            b.enumerate_proper_trees(2, 6)
 
 
 class TestLeafPosteriorMean:
