@@ -264,21 +264,47 @@ class TestPinnedResults:
             (7, 3, 0.1, 400, 5, "fcfff4204171498b5049c1da7be5ef0addd78832f0769492a1e6d5c93c2adaa7"),
             (8, 3, 0.2, 1500, 5, "6a3f745d56de237f007fe67d5f001c8420da8e03aed12dda3b228317cbf3cd86"),
             (11, 2, 0.1, 1000, 7, "4c9f317b5c4ad8117d3e16d6f6e9fc616f133ac45b7ddcdc55a445c39d7e938f"),
+            # the benchmark's shapes at the default beta, taken when each
+            # depth of a count tree was still laid out from the one above
+            (3, 10, None, 3000, 8, "37a54fa59870d20fad60d766cfd8b9d7940d40abcfb474065b4042bb278f2190"),
+            (4, 10, None, 800, 9, "4f92645126f5fc010d267eac5188e0e00dca5425342a842656fd039873c1d7bb"),
+            (2, 0, None, 500, 10, "ebefd9ce079f518f82a176f980a147d5b761fe45c4a08c259aa492d8ac10b82f"),
         ],
     )
     def test_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
-        rng = np.random.default_rng(seed)
-        rows = rng.dirichlet(np.full(m, 0.2), size=m * m)
-        codes = [0, 0]
-        for _ in range(n + depth - 2):
-            codes.append(int(rng.choice(m, p=rows[codes[-1] * m + codes[-2]])))
-        tree = CountTree.from_arrays(np.array(codes), depth, BctHyperParams(m, depth, beta))
+        codes = self.order_two_chain(m, n + depth, seed)
+        params = BctHyperParams(m, depth, beta)
+        tree = CountTree.from_arrays(codes, depth, params)
         model = tree.map_model(with_params=True)
-        assert any(not tree.count_vector(s).any() for s in model.leaves)
+        if params.beta < 0.5:
+            assert any(not tree.count_vector(s).any() for s in model.leaves)
         blob = repr(tree.log_evidence()) + json.dumps(
             model.to_json(b.Alphabet.of_size(m)), sort_keys=True
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    def test_slices_match_pinned_digest(self):
+        # 200 segments of one series at the ternary benchmark's m and D, as
+        # the sampler asks for them: any start and any length
+        codes = self.order_two_chain(3, 3000, 12)
+        params = BctHyperParams(3, 10)
+        rng = np.random.default_rng(13)
+        values = []
+        for _ in range(200):
+            lo = int(rng.integers(0, 3000 - 10))
+            hi = int(rng.integers(lo + 10, 3001))
+            values.append(span_log_evidence(codes[lo:hi], params))
+        digest = "ac2e9cf96835f767671199d77331df79881ad1b8c81d403921120d4e7ae45f39"
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+    @staticmethod
+    def order_two_chain(m, size, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(m, 0.2), size=m * m)
+        codes = [0, 0]
+        for _ in range(size - 2):
+            codes.append(int(rng.choice(m, p=rows[codes[-1] * m + codes[-2]])))
+        return np.array(codes)
 
 
 class TestEvidenceRow:
