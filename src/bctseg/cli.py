@@ -279,22 +279,26 @@ def _write_outputs(args, started, files: dict, digest: str, resolved: dict,
     except OSError as exc:
         message = f"cannot create output directory {args.out}: {exc.strerror}"
         raise ValueError(message) from None
-    for name, write in files.items():
-        _write_atomic(outdir / name, write)
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    manifest = {
-        "command": args.command,
-        "tool_version": __version__,
-        "parameters": {**flags, **resolved},
-        "input_digest": digest,
-        "wall_clock_seconds": time.perf_counter() - started,
-        **report,
-    }
-    _write_atomic(outdir / "manifest.json", _json(manifest, indent=2, sort_keys=True))
-    own = _OWN_FILES[args.command]
-    for path in outdir.iterdir():
-        if path.name not in files and re.fullmatch(own, path.name):
-            path.unlink()
+    # a failure to write into --out is a usage error, not an unreadable input
+    try:
+        for name, write in files.items():
+            _write_atomic(outdir / name, write)
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+        manifest = {
+            "command": args.command,
+            "tool_version": __version__,
+            "parameters": {**flags, **resolved},
+            "input_digest": digest,
+            "wall_clock_seconds": time.perf_counter() - started,
+            **report,
+        }
+        _write_atomic(outdir / "manifest.json", _json(manifest, indent=2, sort_keys=True))
+        own = _OWN_FILES[args.command]
+        for path in outdir.iterdir():
+            if path.name not in files and re.fullmatch(own, path.name):
+                path.unlink()
+    except OSError as exc:
+        raise ValueError(f"cannot write into --out {args.out}: {exc}") from None
     shown = shown or list(files)[:1]
     print(f"wrote {', '.join(str(outdir / name) for name in shown)}{note}")
 

@@ -12,10 +12,14 @@ codes with the most recent symbol first, so the children of a node extend its
 context one step further into the past. There are two evidence kernels, both
 in numpy: the batch builder scores one segment's count tree, and
 `evidence_row` scores every segment sharing one end of a slice in one sweep,
-one depth at a time. Both walk the node layout of `_context_nodes`, the one
-place that decides context codes and node order, and both read
-Krichevsky-Trofimov scores only from `_vector_kt`, the one place that knows
-numpy's summation order.
+one depth at a time. Both take their nodes from `_context_nodes`, the one
+place that decides context codes and node order: one sort of the
+observations' context keys, in which the nodes of each depth are runs of
+sorted keys. The batch builder reads the counts, codes and parents of every
+depth off that one sorted array and scores the Krichevsky-Trofimov terms of
+all its nodes in one call; the row sweep, which must keep step order inside
+each node, sorts once more per depth. Both read Krichevsky-Trofimov scores
+only from `_vector_kt`, the one place that knows numpy's summation order.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from functools import cached_property
+from itertools import accumulate, product as _cartesian
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -137,37 +142,46 @@ def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
             total += counts[:, j]
     else:
         row_sum, total = half[counts].sum(axis=1), counts.sum(axis=1)
-    return row_sum - m * half[0] - whole[total] + whole[0]
+    row_sum -= m * half[0]
+    row_sum -= whole[total]
+    row_sum += whole[0]
+    return row_sum
 
 
 def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
     """The context tree of a code array that holds D context symbols and then
-    L observations, one depth at a time.
+    L observations, laid out by one sort.
 
-    Yields, for d = 0..D, the sorted codes of the depth-d contexts that
-    occur (the root is always present) and the node index of each
-    observation's depth-d context. A context's code has its most recent
-    symbol as the leading base-m digit, so a node's code is its parent's
-    code times m plus the symbol one step further back, and the children of
-    a node are one run of consecutive nodes in symbol order. Each depth is
-    derived from the one above by marking which of the m slots under each
-    node occur, without sorting.
+    Each observation's key holds its depth-D context, most recent symbol as
+    the leading base-m digit, and then the observation itself as the last
+    digit. A depth-d context's code is the key's leading d digits, so once
+    the keys are sorted the depth-d nodes are the runs of keys with equal
+    leading d digits, in ascending code order, and the children of a node
+    are consecutive runs inside its own. A node's code is its parent's code
+    times m plus the symbol one step further back.
+
+    Returns the keys in observation order, the sorted keys, and a (D+1) x L
+    boolean array whose entry [d, i] says that sorted key i starts a depth-d
+    node. The first key starts one at every depth.
     """
     m, D = params.m, params.depth
     # context codes of depth D plus the next symbol must fit in an int64
     if m ** (D + 1) >= 2**62:
         raise ValueError("alphabet/depth combination overflows context codes")
-    nodes = np.zeros(1, dtype=np.int64)
-    inverse = np.zeros(L, dtype=np.int64)
-    yield nodes, inverse
-    for d in range(1, D + 1):
-        slot = inverse * m + codes[D - d : D - d + L]
-        seen = np.zeros(nodes.size * m, dtype=bool)
-        seen[slot] = True
-        inverse = np.cumsum(seen)[slot] - 1
-        slots = np.flatnonzero(seen)
-        nodes = nodes[slots // m] * m + slots % m
-        yield nodes, inverse
+    # the key of the observation at t is the window codes[t : t + D + 1]
+    # weighted by m, m**2, .., m**D for the context and 1 for the observation
+    weights = np.array([*(m**k for k in range(1, D + 1)), 1], dtype=np.int64)
+    key = np.correlate(codes, weights, "valid") if L else np.zeros(0, dtype=np.int64)
+    ordered = np.sort(key)
+    # a key starts a depth-d node where its leading d digits differ from
+    # those of the key before it
+    opens = np.ones((D + 1, L), dtype=bool)
+    opens[0, 1:] = False
+    prefix = ordered // m
+    for d in range(D, 0, -1):
+        np.not_equal(prefix[1:], prefix[:-1], out=opens[d, 1:])
+        prefix //= m
+    return key, ordered, opens
 
 
 def _empty_log_pm(params: BctHyperParams) -> np.ndarray:
@@ -187,21 +201,47 @@ class CountTree:
     """Transition counts for every context of length <= D occurring in a
     sequence, with cached log-domain node scores.
 
-    Only observed contexts are materialised. Nodes at each depth are stored as
-    a sorted array of base-m context codes in the layout of `_context_nodes`
-    (leading digit = most recent symbol, so a node's children are
-    consecutive) alongside an integer count matrix, which keeps both
-    construction and the evidence recursion vectorised.
+    Only observed contexts are materialised. The tree keeps the layout of
+    `_context_nodes`, the sorted context keys and where each depth's runs of
+    them start, and one integer count matrix whose rows are the nodes of all
+    depths: the root, then depth by depth in ascending code order (leading
+    digit = most recent symbol, so a node's children are consecutive). Every
+    depth's counts come off the one sorted array and the recursion scores
+    all nodes' KT terms at once, so a build and its evidence take a number of
+    numpy calls that grows with D but not with the data.
     """
 
-    def __init__(self, params, node_codes, node_counts, n):
+    def __init__(self, params, keys, opens, sizes, counts, n):
         self.params = params
-        self._codes = node_codes
-        self._counts = node_counts
+        self._keys, self._opens = keys, opens  # the layout of _context_nodes
+        # depth d holds rows _depth_rows[d] up to _depth_rows[d + 1]
+        self._depth_rows = list(accumulate(sizes, initial=0))
+        self._all_counts = counts
+        rows = self._depth_rows
+        self._counts = [counts[a:b] for a, b in zip(rows[:-1], rows[1:])]
         self.n = n
         self._log_pe = None
         self._log_pw = None
         self._log_pm = None
+
+    @cached_property
+    def _codes(self) -> list[np.ndarray]:
+        """Each depth's sorted node codes: the leading digits of the first
+        key of the node's run (only lookups by context need them)."""
+        m, D = self.params.m, self.params.depth
+        return [np.zeros(1, dtype=np.int64)] + [
+            self._keys[self._opens[d]] // m ** (D + 1 - d) for d in range(1, D + 1)
+        ]
+
+    @cached_property
+    def _parents(self) -> np.ndarray:
+        """For each node below the root, its parent's place among the nodes
+        one depth up: of the nodes from the first of its depth up to itself,
+        those whose runs start a node one depth up too, counted, minus 1."""
+        opens, rows = self._opens, np.array(self._depth_rows)
+        parents = np.cumsum(opens.ravel()[np.flatnonzero(opens[1:])])
+        parents -= np.repeat(rows[:-2] + 1, np.diff(rows[1:]))
+        return parents
 
     # ---------------------------------------------------------------- build
 
@@ -220,14 +260,22 @@ class CountTree:
         n = codes.size - n_context
         if n < 0:
             raise ValueError("code array shorter than its declared context")
-        node_codes = []
-        node_counts = []
-        nxt = codes[D:]
-        for nodes, inverse in _context_nodes(codes, n, params):
-            counts = np.bincount(inverse * m + nxt, minlength=nodes.size * m)
-            node_codes.append(nodes)
-            node_counts.append(counts.reshape(nodes.size, m))
-        return cls(params, node_codes, node_counts, n)
+        keys, opens = _context_nodes(codes, n, params)[1:]
+        # the sorted position at which each node's run of keys starts: the
+        # root at 0, then the nodes below it, depth by depth
+        starts = np.concatenate(([0], np.flatnonzero(opens[1:]) % max(n, 1)))
+        sizes = [1, *np.count_nonzero(opens[1:], axis=1).tolist()]
+        # a run's counts are the running counts per symbol where the next
+        # run of its depth starts (at the end, n) minus those where it starts
+        running = np.zeros((n + 1, m), dtype=np.int32)
+        running[np.arange(1, n + 1), keys % m] = 1
+        np.cumsum(running, axis=0, out=running)
+        at_start = np.take(running, starts, axis=0)
+        counts = np.empty_like(at_start)
+        np.subtract(at_start[1:], at_start[:-1], out=counts[:-1])
+        last = np.cumsum(sizes) - 1
+        counts[last] = running[n] - at_start[last]
+        return cls(params, keys, opens, sizes, counts, n)
 
     @classmethod
     def from_sequence(cls, seq: Sequence, params: BctHyperParams):
@@ -264,54 +312,54 @@ class CountTree:
         """Row of the depth-d node with this context code; -1 if unobserved."""
         table = self._codes[d]
         idx = int(np.searchsorted(table, code))
-        return idx if idx < table.size and table[idx] == code else -1
+        return self._depth_rows[d] + idx if idx < table.size and table[idx] == code else -1
 
     def count_vector(self, context) -> np.ndarray:
         """Counts of the symbols following `context`; zeros if never seen."""
         d = len(context)
         if d > self.params.depth:
             raise ValueError("context longer than the tree depth")
-        idx = self._row(d, self.encode_context(context, self.params.m))
-        if idx < 0:
+        row = self._row(d, self.encode_context(context, self.params.m))
+        if row < 0:
             return np.zeros(self.params.m, dtype=np.int64)
-        return self._counts[d][idx].copy()
+        return self._all_counts[row].astype(np.int64)
 
     def contexts_at_depth(self, d: int):
         """Pairs (context tuple, count vector) for the observed depth-d nodes."""
         m = self.params.m
         for code, row in zip(self._codes[d], self._counts[d]):
-            yield self.decode_context(int(code), d, m), row.copy()
+            yield self.decode_context(int(code), d, m), row.astype(np.int64)
 
     # ------------------------------------------------------- recursions
 
-    def _bottom_up(self, combine, absent: np.ndarray) -> list[np.ndarray]:
-        """Per-depth scores of the observed nodes under the shared CTW/BCT
+    def _bottom_up(self, combine, absent: np.ndarray) -> np.ndarray:
+        """Scores of the observed nodes, row by row, under the shared CTW/BCT
         recursion. A depth-D node scores its KT likelihood pe; any other node
         scores combine(log beta + pe, log(1-beta) + the sum of its m children's
         scores), where an unobserved child at depth d scores absent[d]."""
         m, D = self.params.m, self.params.depth
         lb, l1b = self.params.log_beta, self.params.log_1mbeta
+        rows = self._depth_rows
         if self._log_pe is None:
-            tables = _kt_tables(self.n, m)
-            self._log_pe = [_vector_kt(counts, m, tables) for counts in self._counts]
-        scores = [None] * (D + 1)
-        child_sum = None
-        for d in range(D, -1, -1):
-            pe = self._log_pe[d]
-            scores[d] = pe if d == D else combine(lb + pe, l1b + child_sum)
-            if d > 0:
-                child_sum = np.full(self._codes[d - 1].size, m * absent[d])
-                parents = np.searchsorted(self._codes[d - 1], self._codes[d] // m)
-                np.add.at(child_sum, parents, scores[d] - absent[d])
+            self._log_pe = _vector_kt(self._all_counts, m, _kt_tables(self.n, m))
+        scores = lb + self._log_pe
+        scores[rows[D] :] = self._log_pe[rows[D] :]
+        for d in range(D, 0, -1):
+            a, b, c = rows[d - 1], rows[d], rows[d + 1]
+            # the children of a node in symbol order from m * absent[d], as
+            # np.add.at sums them, with each observed child's term swapped in
+            child_sum = np.full(b - a, m * absent[d])
+            np.add.at(child_sum, self._parents[b - 1 : c - 1], scores[b:c] - absent[d])
+            combine(scores[a:b], l1b + child_sum, out=scores[a:b])
         return scores
 
-    def _weighted(self) -> list[np.ndarray]:
+    def _weighted(self) -> np.ndarray:
         # an absent subtree has weighted probability one: score 0 in logs
         if self._log_pw is None:
             self._log_pw = self._bottom_up(np.logaddexp, np.zeros(self.params.depth + 1))
         return self._log_pw
 
-    def _maximised(self) -> list[np.ndarray]:
+    def _maximised(self) -> np.ndarray:
         # an absent subtree scores its data-free maximum
         if self._log_pm is None:
             self._log_pm = self._bottom_up(np.maximum, _empty_log_pm(self.params))
@@ -320,19 +368,19 @@ class CountTree:
     def log_evidence(self) -> float:
         """Log of the prior predictive likelihood: all tree models of depth
         <= D and all leaf parameters integrated out."""
-        return float(self._weighted()[0][0])
+        return float(self._weighted()[0])
 
     def root_log_pm(self) -> float:
         """Log posterior score of the maximising tree model."""
-        return float(self._maximised()[0][0])
+        return float(self._maximised()[0])
 
     def log_pw_at(self, context) -> float:
         """Weighted score of an observed node (for invariant checks)."""
         d = len(context)
-        idx = self._row(d, self.encode_context(context, self.params.m))
-        if idx < 0:
+        row = self._row(d, self.encode_context(context, self.params.m))
+        if row < 0:
             raise KeyError(f"context {context!r} not in the tree")
-        return float(self._weighted()[d][idx])
+        return float(self._weighted()[row])
 
     # --------------------------------------------------------------- MAP tree
 
@@ -358,10 +406,10 @@ class CountTree:
         stack = [(0, 0, ())]
         while stack:
             code, d, ctx = stack.pop()
-            idx = self._row(d, code)
+            row = self._row(d, code)
             # a node splits only when the split term strictly beats stopping,
             # so ties break toward the leaf (the smaller model)
-            if d == D or not log_pm[d][idx] > lb + self._log_pe[d][idx]:
+            if d == D or not log_pm[row] > lb + self._log_pe[row]:
                 leaves.append(ctx)
                 continue
             for j in range(m):
@@ -556,15 +604,20 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
     def back(k):  # the symbol k steps before each step's observation
         return codes[D - k : D - k + L][obs]
 
-    # node ids of each depth in step order; int32 keeps the row's heap small
-    node_ids = [inv.astype(np.int32)[obs] for _, inv in _context_nodes(codes, L, params)]
+    # a step's node at depth d is the run of sorted keys that holds its key,
+    # numbered from 1; equal keys share every node, so any place of the key
+    # in the sorted keys will do
+    keys, ordered, opens = _context_nodes(codes, L, params)
+    place = np.searchsorted(ordered, keys)[obs]
+    del keys, ordered
     tables = _kt_tables(L, m)
     lb, l1b = params.log_beta, params.log_1mbeta
     counts = np.empty((L, m), dtype=np.int64)
     for d in range(D, -1, -1):
         # node first, then step: the keys are unique, so any sort is stable
-        order = np.argsort(node_ids[d].astype(np.int64) * L + position)
-        ids = node_ids[d][order]
+        node = np.cumsum(opens[d])[place]
+        order = np.argsort(node * L + position)
+        ids = node[order]
         first = np.ones(L, dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=first[1:])
         group_start = np.maximum.accumulate(np.where(first, position, 0))

@@ -435,6 +435,16 @@ class TestErrors:
         assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 2
         assert _error_lines(capsys) == 1
 
+    def test_write_into_out_fails_as_usage_error(self, toy_binary, tmp_path, capsys):
+        # a directory where an output file goes: the job runs and its write
+        # fails, which names --out and is not an unreadable input (exit 3)
+        out = tmp_path / "run"
+        (out / "posterior.csv").mkdir(parents=True)
+        assert run_cli("exact", toy_binary, "--depth", 1, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--out" in err[0]
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     @pytest.mark.parametrize("where, code", [
         ("input", 3), ("spec", 3), ("out", 2), ("nested-out", 2),
     ])

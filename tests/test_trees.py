@@ -362,7 +362,7 @@ class TestEvidenceRow:
 
 
 class TestContextNodes:
-    # The sort-free layout must equal np.unique over context codes computed
+    # The one-sort layout must equal np.unique over context codes computed
     # directly from the symbols, most recent symbol as the leading digit.
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_unique_over_direct_codes(self, seed):
@@ -375,9 +375,16 @@ class TestContextNodes:
             codes = rng.integers(0, m, size=depth + L)
             if seed % 2:  # a series skewed toward 0, so that contexts repeat
                 codes = (np.cumsum(codes) % m) * (codes % 2)
-            layers = list(_context_nodes(codes, L, BctHyperParams(m, depth)))
-            assert len(layers) == depth + 1
-            for d, (nodes, inverse) in enumerate(layers):
+            params = BctHyperParams(m, depth)
+            keys, ordered, opens = _context_nodes(codes, L, params)
+            assert opens.shape == (depth + 1, L)
+            tree = CountTree.from_arrays(codes, depth, params)
+            rows = tree._depth_rows
+            assert len(tree._codes) == len(rows) - 1 == depth + 1
+            # each observation's node as evidence_row finds it
+            place = np.searchsorted(ordered, keys)
+            above = None
+            for d, nodes in enumerate(tree._codes):
                 direct = np.zeros(L, dtype=np.int64)
                 for k in range(1, d + 1):
                     direct = direct * m + codes[depth - k : depth - k + L]
@@ -385,7 +392,11 @@ class TestContextNodes:
                 if d == 0:
                     expect = np.zeros(1, dtype=np.int64)  # the root always exists
                 assert np.array_equal(nodes, expect)
-                assert np.array_equal(inverse, expect_inverse.ravel())
+                assert np.array_equal(np.cumsum(opens[d])[place] - 1, expect_inverse.ravel())
+                if d > 0:
+                    parents = tree._parents[rows[d] - 1 : rows[d + 1] - 1]
+                    assert np.array_equal(parents, np.searchsorted(above, expect // m))
+                above = expect
 
     def test_empty_tree_is_a_root_without_counts(self):
         for m, depth in [(2, 0), (3, 4), (11, 10)]:
