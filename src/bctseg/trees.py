@@ -142,6 +142,8 @@ def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
             total += counts[:, j]
     else:
         row_sum, total = half[counts].sum(axis=1), counts.sum(axis=1)
+    # in place, in the order of row_sum - m * half[0] - whole[total] + whole[0]:
+    # the same bits with one temporary the size of the tree fewer
     row_sum -= m * half[0]
     row_sum -= whole[total]
     row_sum += whole[0]

@@ -276,7 +276,7 @@ class TestPinnedResults:
         params = BctHyperParams(m, depth, beta)
         tree = CountTree.from_arrays(codes, depth, params)
         model = tree.map_model(with_params=True)
-        if params.beta < 0.5:
+        if params.beta < 0.5:  # the default beta expands no data-free subtree
             assert any(not tree.count_vector(s).any() for s in model.leaves)
         blob = repr(tree.log_evidence()) + json.dumps(
             model.to_json(b.Alphabet.of_size(m)), sort_keys=True
