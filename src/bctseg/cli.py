@@ -350,6 +350,10 @@ def cmd_segment(args) -> dict:
         files=files, digest=digest, resolved=resolved,
         shown=[name for name in ("trace.csv", "summary.json") if name in files],
         evidence_cache=[tr.cache_stats for tr in traces],
+        best_state=[
+            {"positions": list(tr.best_state), "log_posterior": tr.best_log_post}
+            for tr in traces
+        ],
     )
 
 

@@ -19,7 +19,11 @@ sorted keys. The batch builder reads the counts, codes and parents of every
 depth off that one sorted array and scores the Krichevsky-Trofimov terms of
 all its nodes in one call; the row sweep, which must keep step order inside
 each node, sorts once more per depth. Both read Krichevsky-Trofimov scores
-only from `_vector_kt`, the one place that knows numpy's summation order.
+only from `_vector_kt`, the one place that knows numpy's summation order,
+with their log-gamma terms from tables built once per alphabet size per
+process and grown only for a longer segment. The batch builder's CTW pass
+sums each depth's children with one `np.bincount`; the MAP pass, whose
+absent children score below 0, keeps `np.add.at` from the absent term.
 """
 
 from __future__ import annotations
@@ -111,6 +115,7 @@ def kt_log_prob(counts, m: int | None = None) -> float:
         raise ValueError("counts must be a nonempty vector of nonnegative integers")
     if not a.any():
         return 0.0
+    # tables of its own: a one-off large total leaves no resident table
     return float(_vector_kt(a[np.newaxis], m, _kt_tables(int(a.sum()), m))[0])
 
 
@@ -127,6 +132,20 @@ def _kt_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     term of a KT likelihood whose counts total at most n."""
     k = np.arange(n + 1, dtype=np.float64)
     return gammaln(k + 0.5), gammaln(k + 0.5 * m)
+
+
+_RESIDENT_KT_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _resident_kt_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The evidence kernels' `_kt_tables` for alphabet size m, kept for the
+    life of the process and rebuilt only when a total above n's arrives. An
+    entry is an elementwise `gammaln` of its index alone, so a longer table
+    holds the same bits at every index a shorter one has."""
+    tables = _RESIDENT_KT_TABLES.get(m)
+    if tables is None or tables[0].size <= n:
+        tables = _RESIDENT_KT_TABLES[m] = _kt_tables(n, m)
+    return tables
 
 
 def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
@@ -343,15 +362,22 @@ class CountTree:
         lb, l1b = self.params.log_beta, self.params.log_1mbeta
         rows = self._depth_rows
         if self._log_pe is None:
-            self._log_pe = _vector_kt(self._all_counts, m, _kt_tables(self.n, m))
+            self._log_pe = _vector_kt(self._all_counts, m, _resident_kt_tables(self.n, m))
         scores = lb + self._log_pe
         scores[rows[D] :] = self._log_pe[rows[D] :]
         for d in range(D, 0, -1):
             a, b, c = rows[d - 1], rows[d], rows[d + 1]
+            parents = self._parents[b - 1 : c - 1]
             # the children of a node in symbol order from m * absent[d], as
-            # np.add.at sums them, with each observed child's term swapped in
-            child_sum = np.full(b - a, m * absent[d])
-            np.add.at(child_sum, self._parents[b - 1 : c - 1], scores[b:c] - absent[d])
+            # np.add.at sums them, with each observed child's term swapped in;
+            # where absent[d] is 0.0 (every CTW depth, and the MAP pass at
+            # depth D) np.bincount adds the same terms in the same order from
+            # 0.0, so one call gives the same bits as the three
+            if absent[d] == 0.0:
+                child_sum = np.bincount(parents, scores[b:c], b - a)
+            else:
+                child_sum = np.full(b - a, m * absent[d])
+                np.add.at(child_sum, parents, scores[b:c] - absent[d])
             combine(scores[a:b], l1b + child_sum, out=scores[a:b])
         return scores
 
@@ -612,7 +638,7 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
     keys, ordered, opens = _context_nodes(codes, L, params)
     place = np.searchsorted(ordered, keys)[obs]
     del keys, ordered
-    tables = _kt_tables(L, m)
+    tables = _resident_kt_tables(L, m)
     lb, l1b = params.log_beta, params.log_1mbeta
     counts = np.empty((L, m), dtype=np.int64)
     for d in range(D, -1, -1):

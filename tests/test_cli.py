@@ -179,6 +179,20 @@ class TestSegment:
             assert chain["rows"] == 2
             assert 0 < chain["entries"] <= chain["misses"] < chain["hits"]
 
+    def test_manifest_records_each_chains_best_state(self, toy_binary, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+        out = tmp_path / "run"
+        assert run_cli(*_short_segment_args(toy_binary, out), "--chains", 2) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        x, _ = cli._load_sequence(str(toy_binary), 1, None)
+        params = b.BctHyperParams(2, 1, manifest["parameters"]["beta"])
+        assert len(manifest["best_state"]) == 2
+        for best in manifest["best_state"]:
+            assert set(best) == {"positions", "log_posterior"}
+            cp = b.ChangePoints(x.n, best["positions"])
+            # no cache: the recorded score is the state's full rescore
+            assert best["log_posterior"] == b.log_posterior_unnorm(x, cp, params, ell_max=2)
+
     def test_streaming_mode_writes_summary_without_trace(
         self, toy_binary, tmp_path, monkeypatch, capsys
     ):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 import bctseg as b
 from bctseg import BctHyperParams, CountTree, TreeModel, trees
@@ -94,6 +94,73 @@ class TestKtLogProb:
         half, whole = tables
         rows = half[counts].sum(axis=1) - m * half[0] - whole[counts.sum(axis=1)] + whole[0]
         assert np.array_equal(_vector_kt(counts, m, tables), rows)
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_bincount_keeps_the_bits_of_add_at(self, m):
+        # where an absent child scores 0.0, `_bottom_up` sums the children
+        # with np.bincount, which must add them in np.add.at's order from 0.0
+        rng = np.random.default_rng(100 + m)
+        k = 300
+        # up to m children a parent, so some bins have none
+        parents = np.repeat(np.arange(k), rng.integers(0, m + 1, size=k))
+        assert np.bincount(parents, minlength=k).min() == 0
+        cases = [(parents, k), (rng.permutation(parents), k), (parents[:0], k), (parents[:0], 0)]
+        for p, bins in cases:
+            w = -rng.lognormal(2.0, 3.0, size=p.size)
+            expect = np.full(bins, 0.0)
+            np.add.at(expect, p, w - 0.0)
+            assert np.array_equal(np.bincount(p, w, bins), expect)
+
+
+class TestResidentKtTables:
+    """The log-gamma tables the evidence kernels keep, one pair per alphabet
+    size, each grown only when a longer segment arrives."""
+
+    @pytest.fixture(autouse=True)
+    def no_resident_tables(self, monkeypatch):
+        monkeypatch.setattr(trees, "_RESIDENT_KT_TABLES", {})
+
+    @staticmethod
+    def assert_fresh(tables, m):
+        half, whole = tables
+        k = np.arange(half.size, dtype=np.float64)
+        assert np.array_equal(half, gammaln(k + 0.5))
+        assert np.array_equal(whole, gammaln(k + 0.5 * m))
+
+    def test_short_request_after_long_reads_fresh_values(self):
+        trees._resident_kt_tables(5000, 3)
+        tables = trees._resident_kt_tables(10, 3)
+        assert tables[0].size == 5001
+        self.assert_fresh(tables, 3)
+
+    def test_alphabet_sizes_never_mix(self):
+        for m, n in [(2, 400), (5, 30), (11, 900), (2, 20), (5, 700)]:
+            self.assert_fresh(trees._resident_kt_tables(n, m), m)
+        assert {m: t[0].size for m, t in trees._RESIDENT_KT_TABLES.items()} == {
+            2: 401, 5: 701, 11: 901,
+        }
+        for m, tables in trees._RESIDENT_KT_TABLES.items():
+            self.assert_fresh(tables, m)
+
+    def test_span_evidence_unchanged_by_longer_build(self):
+        params = BctHyperParams(3, 10)
+        codes = TestPinnedResults.order_two_chain(3, 3000, seed=4)
+        piece = codes[100:410]
+        before = span_log_evidence(piece, params)
+        span_log_evidence(codes, params)
+        assert trees._RESIDENT_KT_TABLES[3][0].size > piece.size
+        assert span_log_evidence(piece, params) == before
+
+    def test_kt_log_prob_leaves_resident_tables_alone(self):
+        span_log_evidence(np.arange(110) % 3, BctHyperParams(3, 10))
+        evidence_row(np.arange(60) % 4, BctHyperParams(4, 2))
+        sizes = {m: t[0].size for m, t in trees._RESIDENT_KT_TABLES.items()}
+        assert sizes == {3: 101, 4: 59}
+        for m in (3, 4, 5):
+            counts = np.zeros(m, dtype=np.int64)
+            counts[0] = 10**6
+            b.kt_log_prob(counts, m)
+        assert {m: t[0].size for m, t in trees._RESIDENT_KT_TABLES.items()} == sizes
 
 
 class TestBuildCounts:
