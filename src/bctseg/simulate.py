@@ -1,13 +1,25 @@
 """Generation of piece-wise homogeneous variable-memory chains and
-stationary-distribution analysis of fitted tree models."""
+stationary-distribution analysis of fitted tree models.
+
+Draw rule: the next symbol is the first j with theta_0 + ... + theta_j > u
+for a uniform u in [0, 1), capped at m - 1 (a row's cumulative sum can round
+below 1). A chain takes its uniforms from one `np.random.default_rng(seed)`
+stream, one double per symbol, in order. `generate_piecewise` draws them
+DRAW_CHUNK at a time with `rng.random(k)`, the same doubles as k scalar
+`rng.random()` calls, and reads each leaf's cumulative row from a list built
+once per segment. `sample_next` applies the rule one step at a time; the
+tests check that a loop of it gives `generate_piecewise`'s output bit for bit.
+
+scipy.sparse is imported inside the stationary analysis, its only user, so
+generating, fitting and segmenting do not load it through this module.
+"""
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.csgraph import connected_components
 
 from .sequences import Alphabet, Sequence
 from .trees import TreeModel, parse_context_string
@@ -15,6 +27,7 @@ from .trees import TreeModel, parse_context_string
 MAX_STATES = 1_000_000  # largest context state space stationary_marginal solves
 POWER_TOL = 1e-12  # max-norm step at which power iteration has converged
 POWER_MAX_ITER = 1_000_000
+DRAW_CHUNK = 4096  # uniforms drawn at a time by generate_piecewise
 
 
 class NumericalError(RuntimeError):
@@ -82,7 +95,8 @@ class PiecewiseSpec:
 
 def sample_next(model: TreeModel, history, rng) -> int:
     """Draw the next symbol: walk the tree along the most recent symbols of
-    `history` (oldest first) to a leaf and sample from its distribution."""
+    `history` (oldest first) to a leaf and sample from its distribution,
+    with one `rng.random()`."""
     theta = model.theta(model.leaf_for(history))
     u = rng.random()
     j = int(np.searchsorted(np.cumsum(theta), u, side="right"))
@@ -96,8 +110,12 @@ def generate_piecewise(spec: PiecewiseSpec) -> tuple[Sequence, tuple[int, ...]]:
     history: list[int] = list(spec.initial_context)
     for seg in spec.segments:
         model = seg.model
-        for _ in range(seg.length):
-            history.append(sample_next(model, history, rng))
+        last = model.m - 1
+        rows = {s: np.cumsum(model.theta(s)).tolist() for s in model.leaves}
+        for start in range(0, seg.length, DRAW_CHUNK):
+            for u in rng.random(min(DRAW_CHUNK, seg.length - start)).tolist():
+                j = bisect.bisect_right(rows[model.leaf_for(history)], u)
+                history.append(min(j, last))
     seq = Sequence(spec.alphabet, spec.initial_context, history[spec.depth :])
     return seq, spec.change_points()
 
@@ -110,6 +128,8 @@ def stationary_marginal(model: TreeModel) -> np.ndarray:
     NumericalError when the kernel has no unique stationary distribution or
     the state space exceeds the cap.
     """
+    import scipy.sparse as sparse
+
     if model.params is None:
         raise ValueError("stationary analysis needs a model with parameters")
     m, d = model.m, model.depth
@@ -151,7 +171,11 @@ def stationary_marginal(model: TreeModel) -> np.ndarray:
     return marginal
 
 
-def _require_unique_recurrent_class(kernel: sparse.csr_matrix):
+def _require_unique_recurrent_class(kernel):
+    """Raise NumericalError unless the sparse kernel has exactly one
+    recurrent class."""
+    from scipy.sparse.csgraph import connected_components
+
     positive = kernel > 0
     n_comp, labels = connected_components(positive, connection="strong")
     if n_comp == 1:

@@ -492,8 +492,9 @@ class TreeModel:
                 if key not in leaf_set:
                     raise ValueError(f"parameters given for non-leaf context {key!r}")
                 v = np.asarray(vec, dtype=np.float64)
-                if v.shape != (m,) or v.min() < 0:
-                    raise ValueError("each parameter vector needs m nonnegative entries")
+                # NaN passes both the sign and the sum test, so it is named here
+                if v.shape != (m,) or not np.isfinite(v).all() or v.min() < 0:
+                    raise ValueError("each parameter vector needs m finite nonnegative entries")
                 if abs(v.sum() - 1.0) > 1e-12:
                     raise ValueError(f"parameter vector for {key!r} does not sum to 1")
                 converted[key] = v

@@ -440,6 +440,17 @@ class TestErrors:
         assert _error_lines(capsys) == 1
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_leaf_parameter_in_spec(self, tmp_path, capsys):
+        # JSON's NaN literal parses, and a NaN row used to generate a sequence
+        spec = {"alphabet": ["0", "1"], "D": 0, "seed": 3,
+                "segments": [{"contexts": {"": [math.nan, 0.5]}, "length": 50}]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert "NaN" in spec_file.read_text()
+        assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 2
+        assert _error_lines(capsys) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_input_is_directory(self, tmp_path, capsys):
         assert run_cli("exact", tmp_path, "--depth", 1, "--out", tmp_path / "run") == 3
         assert _error_lines(capsys) == 1

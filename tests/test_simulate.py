@@ -1,17 +1,63 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import bctseg as b
-from bctseg import Alphabet, NumericalError, PiecewiseSpec, SegmentSpec, TreeModel
+from bctseg import Alphabet, NumericalError, PiecewiseSpec, SegmentSpec, TreeModel, simulate
 
 
 def iid_model(theta, m=None):
     m = len(theta) if m is None else m
     return TreeModel(m, [()], {(): theta})
+
+
+def random_model(rng, m, depth):
+    """Random proper tree of exactly `depth`, with a Dirichlet row on every
+    leaf and a zero entry in about a third of the rows."""
+    path = tuple(int(c) for c in rng.integers(0, m, size=depth))
+    leaves, stack = [], [()]
+    while stack:
+        s = stack.pop()
+        if len(s) < depth and (s == path[: len(s)] or rng.random() < 0.4):
+            stack.extend(s + (j,) for j in range(m))
+        else:
+            leaves.append(s)
+    params = {}
+    for s in leaves:
+        row = rng.dirichlet(np.full(m, 0.7))
+        if rng.random() < 0.3:
+            row[rng.integers(0, m)] = 0.0
+            row /= row.sum()
+        params[s] = row
+    return TreeModel(m, leaves, params)
+
+
+def random_spec(seed, m, depths, lengths):
+    """One segment per (model depth, length) pair, a random explicit initial
+    context, and D equal to or one more than the deepest model."""
+    rng = np.random.default_rng(seed)
+    segments = tuple(SegmentSpec(random_model(rng, m, d), k) for d, k in zip(depths, lengths))
+    depth = max(depths) + int(rng.integers(0, 2))
+    context = tuple(int(c) for c in rng.integers(0, m, size=depth))
+    return PiecewiseSpec(Alphabet.of_size(m), depth, segments, context, seed)
+
+
+def generate_by_steps(spec):
+    """The chain's symbols after the initial context, one `sample_next` per
+    step: the slow path of `generate_piecewise`."""
+    rng = np.random.default_rng(spec.seed)
+    history = list(spec.initial_context)
+    for seg in spec.segments:
+        for _ in range(seg.length):
+            history.append(b.sample_next(seg.model, history, rng))
+    return history[spec.depth :]
 
 
 class TestSampleNext:
@@ -109,6 +155,43 @@ class TestGeneratePiecewise:
         assert truth == (6,)
         assert list(x.observations) == [1] * 10
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_equals_one_step_loop(self, m):
+        rng = np.random.default_rng(100 + m)
+        depths = [int(d) for d in rng.permutation(5)]
+        lengths = [int(k) for k in rng.integers(1, 400, size=5)]
+        spec = random_spec(m, m, depths, lengths)
+        assert spec.initial_context != (0,) * spec.depth
+        x, _ = b.generate_piecewise(spec)
+        assert x.observations.tolist() == generate_by_steps(spec)
+
+    def test_equals_one_step_loop_across_draw_chunks(self):
+        # segments of exactly one chunk and of more than two, between short ones
+        chunk = simulate.DRAW_CHUNK
+        spec = random_spec(6, 3, [2, 4, 0, 1], [5, 2 * chunk + 17, chunk, 3])
+        x, _ = b.generate_piecewise(spec)
+        assert x.observations.tolist() == generate_by_steps(spec)
+
+    # SHA-256 of the generated symbol codes (initial context included, one
+    # byte each), taken when generate_piecewise called sample_next per symbol
+    @pytest.mark.parametrize(
+        "seed, m, depths, lengths, digest",
+        [
+            (1, 2, [2, 3], [319, 200],
+             "bb20e7608c5e594bb05160777b92b0c065b90df7b187724fb6a81ee6052522d9"),
+            (2, 3, [1, 0, 1, 3], [155, 242, 186, 284],
+             "127dc0d675e4c662bd5a999c8062de5da3274ba137766d735c954c9136696b29"),
+            (3, 4, [4, 0], [370, 152],
+             "295ad811487f544d96a2d98fb0e68a5ff7408ba2ec687d3e16ea307af2ac6303"),
+            (4, 5, [0, 4, 1], [300, 10_000, 50],
+             "9690f79947cfdb6a0d943eed886bfed3867d7d4fddbff48683ffcf26ae0d351b"),
+        ],
+    )
+    def test_matches_pinned_digest(self, seed, m, depths, lengths, digest):
+        x, _ = b.generate_piecewise(random_spec(seed, m, depths, lengths))
+        codes = np.asarray(x.full_codes(), dtype=np.uint8)
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
+
     def test_validation(self):
         alpha = Alphabet.of_size(2)
         deep = b.model_from_table(alpha, {"00": [1, 0], "01": [1, 0], "1": [1, 0]})
@@ -116,6 +199,25 @@ class TestGeneratePiecewise:
             PiecewiseSpec(alphabet=alpha, depth=1, segments=(SegmentSpec(deep, 5),))
         with pytest.raises(ValueError, match="parameters"):
             SegmentSpec(TreeModel(2, [()]), 5)
+
+
+def _scipy_sparse_modules_after_import(module):
+    path = [str(Path(b.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = (f"import json, sys, {module}; "
+             "print(json.dumps([k for k in sys.modules if k.startswith('scipy.sparse')]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return set(json.loads(done.stdout))
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # only the stationary analysis needs scipy.sparse, and it imports it
+    # itself; SciPy releases older than the one that made scipy.special's
+    # scipy.linalg import lazy load scipy.sparse with scipy.special, which
+    # bctseg needs, so what scipy.special loads alone is allowed
+    assert _scipy_sparse_modules_after_import("bctseg.cli") <= (
+        _scipy_sparse_modules_after_import("scipy.special"))
 
 
 class TestStationaryMarginal:

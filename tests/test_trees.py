@@ -543,6 +543,14 @@ class TestTreeModel:
         with pytest.raises(ValueError, match="missing parameters"):
             TreeModel(2, [(0,), (1,)], {(0,): [0.5, 0.5]})
 
+    @pytest.mark.parametrize("row", [[math.nan, 0.5], [0.5, math.nan], [math.inf, 0.0],
+                                     [math.nan, math.nan]])
+    def test_non_finite_params_rejected(self, row):
+        # NaN compares False with 0 and with the sum tolerance, so only an
+        # explicit finiteness check catches it
+        with pytest.raises(ValueError, match="finite"):
+            TreeModel(2, [()], {(): row})
+
     def test_json_round_trip(self, ternary_alphabet):
         model = b.model_from_table(
             ternary_alphabet, {"0": [0.5, 0.3, 0.2], "1": [0.3, 0.6, 0.1], "2": [0.3, 0.2, 0.5]}
