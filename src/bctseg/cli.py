@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -52,9 +53,23 @@ class _EnvParser(argparse.ArgumentParser):
     """Subcommand parser whose flags default to the environment variable
     BCTSEG_<FLAG> when it is set (a flag on the command line still wins).
     The value is checked with the flag's own type and choices when the
-    subcommand runs, and a bad value is a usage error naming the variable."""
+    subcommand runs, and a bad value is a usage error naming the variable.
+    The parser is built once per process, so every default and required
+    mark that a variable changes is put back when the parse ends."""
 
     def parse_known_args(self, args=None, namespace=None):
+        saved = [(action, action.default, action.required) for action in self._actions]
+        groups = [(group, group.required) for group in self._mutually_exclusive_groups]
+        try:
+            self._apply_environment()
+            return super().parse_known_args(args, namespace)
+        finally:
+            for action, default, required in saved:
+                action.default, action.required = default, required
+            for group, required in groups:
+                group.required = required
+
+    def _apply_environment(self):
         from_env = set()
         for action in self._actions:
             if not action.option_strings or action.default is argparse.SUPPRESS:
@@ -75,7 +90,6 @@ class _EnvParser(argparse.ArgumentParser):
         for group in self._mutually_exclusive_groups:
             if from_env.intersection(group._group_actions):
                 group.required = False
-        return super().parse_known_args(args, namespace)
 
 
 def _fmt(v: float) -> str:
@@ -99,7 +113,10 @@ def _add_out_flag(p):
     p.add_argument("--out", default=".", help="output directory (created if missing)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about ten times as much as a parse."""
     top = argparse.ArgumentParser(
         prog="bctseg",
         description="Bayesian change-point segmentation of discrete time series",

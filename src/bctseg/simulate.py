@@ -6,17 +6,23 @@ for a uniform u in [0, 1), capped at m - 1 (a row's cumulative sum can round
 below 1). A chain takes its uniforms from one `np.random.default_rng(seed)`
 stream, one double per symbol, in order. `generate_piecewise` draws them
 DRAW_CHUNK at a time with `rng.random(k)`, the same doubles as k scalar
-`rng.random()` calls, and reads each leaf's cumulative row from a list built
-once per segment. `sample_next` applies the rule one step at a time; the
-tests check that a loop of it gives `generate_piecewise`'s output bit for bit.
+`rng.random()` calls, and finds each symbol's leaf by walking a nested dict
+of the segment's tree, built once per segment with each leaf's cumulative row
+in its place. `sample_next` applies the rule one step at a time; the tests
+check that a loop of it gives `generate_piecewise`'s output bit for bit.
 
-scipy.sparse is imported inside the stationary analysis, its only user, so
-generating, fitting and segmenting do not load it through this module.
+The stationary analysis solves the sparse context-window kernel with one
+recurrent state's probability pinned to 1, by SuperLU (see
+`stationary_marginal`), so no dense matrix is formed and the result does not
+depend on the number of BLAS threads. scipy.sparse is imported inside it, its
+only user, so generating, fitting and segmenting do not load it through this
+module.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +81,7 @@ class PiecewiseSpec:
         ctx = self.initial_context
         if ctx is None:
             ctx = (0,) * self.depth
-        ctx = tuple(int(c) for c in ctx)
+        ctx = tuple(_spec_int(c, "initial_context entry") for c in ctx)
         if len(ctx) != self.depth:
             raise ValueError("initial context length must equal the depth")
         for c in ctx:
@@ -109,26 +115,42 @@ def generate_piecewise(spec: PiecewiseSpec) -> tuple[Sequence, tuple[int, ...]]:
     rng = np.random.default_rng(spec.seed)
     history: list[int] = list(spec.initial_context)
     for seg in spec.segments:
-        model = seg.model
-        last = model.m - 1
-        rows = {s: np.cumsum(model.theta(s)).tolist() for s in model.leaves}
+        tree = _cumulative_rows(seg.model, ())
+        last = seg.model.m - 1
         for start in range(0, seg.length, DRAW_CHUNK):
             for u in rng.random(min(DRAW_CHUNK, seg.length - start)).tolist():
-                j = bisect.bisect_right(rows[model.leaf_for(history)], u)
-                history.append(min(j, last))
+                # the history holds at least spec.depth >= model depth symbols
+                node, k = tree, len(history)
+                while type(node) is dict:
+                    k -= 1
+                    node = node[history[k]]
+                history.append(min(bisect.bisect_right(node, u), last))
     seq = Sequence(spec.alphabet, spec.initial_context, history[spec.depth :])
     return seq, spec.change_points()
+
+
+def _cumulative_rows(model: TreeModel, s: tuple[int, ...]):
+    """The subtree of `model` below context `s` as nested dicts keyed by the
+    next older symbol, with each leaf's cumulative row (a list) in its place."""
+    if s in model.leaves:
+        return np.cumsum(model.theta(s)).tolist()
+    return {j: _cumulative_rows(model, s + (j,)) for j in range(model.m)}
 
 
 def stationary_marginal(model: TreeModel) -> np.ndarray:
     """First-order symbol marginal of the stationary law of a fitted model.
 
-    The chain on length-d context windows (d = deepest leaf) is solved
-    directly for small kernels and by power iteration otherwise. Raises
-    NumericalError when the kernel has no unique stationary distribution or
-    the state space exceeds the cap.
+    The chain runs on length-d context windows (d = deepest leaf), with a
+    sparse kernel P of m entries per row. Up to 4,096 states the balance
+    equations (I - P)^T pi = 0 are solved with pi_r = 1 for one state r of
+    the recurrent class: row and column r are deleted, column r becomes the
+    right-hand side, and SuperLU factors the nonsingular rest. Larger state
+    spaces use power iteration. Raises NumericalError when the kernel has no
+    unique stationary distribution, the state space exceeds the cap, the
+    factorisation fails, or the solution's residual is above 1e-9.
     """
     import scipy.sparse as sparse
+    from scipy.sparse.linalg import splu
 
     if model.params is None:
         raise ValueError("stationary analysis needs a model with parameters")
@@ -155,10 +177,22 @@ def stationary_marginal(model: TreeModel) -> np.ndarray:
     vals = theta.ravel()
     kernel = sparse.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
 
-    _require_unique_recurrent_class(kernel)
+    r = _require_unique_recurrent_class(kernel)
 
     if n_states <= 4096:
-        pi = _solve_stationary_direct(kernel.toarray())
+        # pinning a recurrent state makes the reduced system nonsingular; a
+        # row of ones for the normalisation would instead be dense, and gave
+        # 1.5-1.7 times the entries in SuperLU's factors on random m = 4
+        # models. The right-hand side, minus column r of (I - P)^T, is row r
+        # of P.
+        keep = np.delete(np.arange(n_states), r)
+        reduced = (sparse.identity(n_states, format="csr") - kernel)[keep][:, keep]
+        try:
+            solved = splu(reduced.T).solve(kernel[[r]].toarray()[0, keep])
+        except RuntimeError as exc:
+            raise NumericalError(f"stationary solve failed: {exc}") from None
+        pi = np.clip(np.insert(solved, r, 1.0), 0.0, None)
+        pi /= pi.sum()
     else:
         pi = _power_iteration(kernel, n_states)
 
@@ -171,42 +205,27 @@ def stationary_marginal(model: TreeModel) -> np.ndarray:
     return marginal
 
 
-def _require_unique_recurrent_class(kernel):
+def _require_unique_recurrent_class(kernel) -> int:
     """Raise NumericalError unless the sparse kernel has exactly one
-    recurrent class."""
+    recurrent class, and return one state of it: the last state of that
+    class (the last state overall when the chain is irreducible)."""
     from scipy.sparse.csgraph import connected_components
 
     positive = kernel > 0
     n_comp, labels = connected_components(positive, connection="strong")
     if n_comp == 1:
-        return
+        return kernel.shape[0] - 1
     # recurrent classes are the strongly connected components with no exits;
     # only positive-probability edges count, not stored zeros
     edges = positive.tocoo()
     src, dst = labels[edges.row], labels[edges.col]
-    recurrent = n_comp - np.unique(src[src != dst]).size
-    if recurrent != 1:
+    recurrent = np.setdiff1d(np.arange(n_comp), src[src != dst])
+    if recurrent.size != 1:
         raise NumericalError(
             "the fitted chain has no unique stationary distribution "
-            f"({recurrent} recurrent classes)"
+            f"({recurrent.size} recurrent classes)"
         )
-
-
-def _solve_stationary_direct(P: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0:
-        raise NumericalError("stationary solve produced a degenerate vector")
-    return pi / total
+    return int(np.flatnonzero(labels == recurrent[0])[-1])
 
 
 def _power_iteration(kernel, n_states):
@@ -231,12 +250,14 @@ def model_from_table(alphabet: Alphabet, table: dict[str, list[float]]) -> TreeM
 def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
     """Parse the generation-spec JSON layout:
     {"alphabet": [...], "D": int, "segments": [{"contexts": {...},
-    "length": int}, ...], "seed": int, "initial_context": "..."}."""
+    "length": int}, ...], "seed": int, "initial_context": "..."}. Each int
+    field must hold an integer: a float or a bool raises ValueError."""
     alpha = obj["alphabet"]
     alphabet = Alphabet.of_size(alpha) if isinstance(alpha, int) else Alphabet(alpha)
-    depth = int(obj.get("D", obj.get("depth", 0)))
+    depth = _spec_int(obj.get("D", obj.get("depth", 0)), "D")
     segments = tuple(
-        SegmentSpec(model_from_table(alphabet, seg["contexts"]), int(seg["length"]))
+        SegmentSpec(model_from_table(alphabet, seg["contexts"]),
+                    _spec_int(seg["length"], "length"))
         for seg in obj["segments"]
     )
     ctx = obj.get("initial_context")
@@ -248,8 +269,19 @@ def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
         depth=depth,
         segments=segments,
         initial_context=ctx,
-        seed=int(obj.get("seed", 0)),
+        seed=_spec_int(obj.get("seed", 0), "seed"),
     )
+
+
+def _spec_int(value, field: str) -> int:
+    """`value` as an int; a float, a bool or any other non-integer raises
+    ValueError rather than being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def piecewise_spec_to_json(spec: PiecewiseSpec) -> dict:

@@ -96,3 +96,47 @@ def empirical_distribution(states, configs):
 
 def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def window_kernel(model) -> np.ndarray:
+    """Dense transition matrix of a model's chain on its length-d context
+    windows (d = deepest leaf), by decoding every state and walking the tree
+    with `leaf_for`. A state codes its window oldest symbol first in base m,
+    so the most recent symbol is the lowest digit."""
+    m, d = model.m, model.depth
+    n_states = m**d
+    P = np.zeros((n_states, n_states))
+    for code in range(n_states):
+        window = [code // m**i % m for i in range(d)][::-1]
+        theta = model.theta(model.leaf_for(window))
+        for j in range(m):
+            P[code, j + m * (code % m ** (d - 1))] += theta[j]
+    return P
+
+
+def solve_stationary_dense(P: np.ndarray) -> np.ndarray:
+    """Stationary law of a dense kernel with one recurrent class: the balance
+    equations with the last one replaced by sum(pi) = 1, by a dense solve, or
+    by least squares if that system is singular. Its last bits depend on the
+    number of BLAS threads."""
+    n = P.shape[0]
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        pi, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def dense_stationary_marginal(model) -> np.ndarray:
+    """First-order symbol marginal of `solve_stationary_dense` on the dense
+    window kernel: the slow path of `stationary_marginal`."""
+    m = model.m
+    if model.depth == 0:
+        return model.theta(()).copy()
+    pi = solve_stationary_dense(window_kernel(model))
+    return np.bincount(np.arange(pi.size) % m, weights=pi, minlength=m)

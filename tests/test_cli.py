@@ -4,6 +4,7 @@ import string
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import bctseg as b
 from bctseg import cli, mcmc
@@ -357,6 +358,26 @@ class TestStationary:
         model = b.map_tree(x, b.BctHyperParams(2, 2), with_params=True)
         assert np.allclose(marg, b.stationary_marginal(model), atol=1e-12)
 
+    def test_failed_factorisation_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a noisy alternating series fits a depth-2 model, whose window
+        # kernel is solved by splu
+        rng = np.random.default_rng(3)
+        bits = (np.arange(80) % 2) ^ (rng.random(80) < 0.1)
+        series = tmp_path / "alternating.txt"
+        series.write_text("".join(str(v) for v in bits))
+        calls = []
+
+        def singular(matrix):
+            calls.append(matrix.shape)
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        out = tmp_path / "run"
+        assert run_cli("stationary", series, "--depth", 2, "--out", out) == 4
+        assert calls == [(3, 3)]
+        assert _error_lines(capsys) == 1
+        assert not (out / "stationary.json").exists()
+
     def test_segment_marginals_differ(self, toy_fasta, tmp_path):
         out = tmp_path / "run"
         run_cli("stationary", toy_fasta, "--depth", 2, "--segments", "61", "--out", out)
@@ -438,6 +459,26 @@ class TestErrors:
         spec_file.write_text(json.dumps(spec))
         assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 3
         assert _error_lines(capsys) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("length", 7.9), ("length", 7.0), ("length", True), ("length", "7"),
+        ("D", 1.7), ("D", False), ("seed", 2.5),
+        ("initial_context", [0.5]), ("initial_context", [True]),
+    ])
+    def test_non_integer_spec_field_is_usage_error(self, tmp_path, capsys, field, value):
+        # these used to be truncated by int(), and the run exited 0
+        spec = {"alphabet": ["0", "1"], "D": 1, "seed": 3,
+                "segments": [{"contexts": {"0": [0.5, 0.5], "1": [0.1, 0.9]}, "length": 20}]}
+        if field == "length":
+            spec["segments"][0]["length"] = value
+        else:
+            spec[field] = value
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_leaf_parameter_in_spec(self, tmp_path, capsys):
@@ -558,6 +599,32 @@ class TestErrors:
         assert exc.value.code == 2
         assert "BCTSEG_FORMAT" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_env_default_not_carried_to_the_next_call(self, toy_binary, tmp_path, monkeypatch):
+        # the parser is built once per process, so the first call's
+        # environment default must not outlive it
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("BCTSEG_DEPTH", "1")
+        assert run_cli("exact", toy_binary, "--out", tmp_path / "a") == 0
+        monkeypatch.delenv("BCTSEG_DEPTH")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("exact", toy_binary, "--out", tmp_path / "b")
+        assert exc.value.code == 2
+        assert not (tmp_path / "b").exists()
+
+    def test_env_group_member_not_carried_to_the_next_call(
+        self, toy_binary, tmp_path, monkeypatch
+    ):
+        # BCTSEG_LMAX lifts the required --lmax/--num-changes group for its
+        # own call only
+        monkeypatch.setenv("BCTSEG_LMAX", "2")
+        args = ["segment", toy_binary, "--depth", 1, "--iters", 50, "--burnin", 0]
+        assert run_cli(*args, "--out", tmp_path / "a") == 0
+        monkeypatch.delenv("BCTSEG_LMAX")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--out", tmp_path / "b")
+        assert exc.value.code == 2
+        assert not (tmp_path / "b").exists()
 
     def test_env_value_ignored_by_other_commands(self, tmp_path, monkeypatch):
         # generate has no --chains, so BCTSEG_CHAINS does not concern it

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy import stats
 
 import bctseg as b
 from bctseg import Alphabet, NumericalError, PiecewiseSpec, SegmentSpec, TreeModel, simulate
+
+from helpers import dense_stationary_marginal, window_kernel
 
 
 def iid_model(theta, m=None):
@@ -37,6 +40,46 @@ def random_model(rng, m, depth):
             row /= row.sum()
         params[s] = row
     return TreeModel(m, leaves, params)
+
+
+def random_chain(m, depth, transient):
+    """The first `random_model` (seeds 0, 1, ...) whose window chain has one
+    recurrent class. With `transient`, every leaf whose most recent symbol is
+    m - 1 first has its m - 1 entry moved to the other symbols, so m - 1 never
+    follows itself and, for depth >= 2, the last state (all m - 1) is
+    transient; at depth 1, no leaf draws m - 1 at all."""
+    for seed in range(100):
+        model = random_model(np.random.default_rng(seed), m, depth)
+        if transient:
+            params = {}
+            for s, row in model.params.items():
+                if depth == 1 or s[0] == m - 1:
+                    row = row.copy()
+                    row[:-1] += row[-1] / (m - 1)
+                    row[-1] = 0.0
+                    row /= row.sum()
+                params[s] = row
+            model = TreeModel(m, model.leaves, params)
+        try:
+            simulate._require_unique_recurrent_class(
+                sparse.csr_matrix(window_kernel(model)))
+        except NumericalError:
+            continue
+        return model
+    raise AssertionError(f"no random chain with one recurrent class at m={m}, d={depth}")
+
+
+def fitted_model(m, depth, beta, seed):
+    """MAP model, with parameters, fitted to 3,000 symbols of a sparse order-3
+    chain whose rows are Dirichlet(1/2) draws."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.full(m, 0.5), size=m**3)
+    codes = [0, 0, 0]
+    for _ in range(3000 + depth - 3):
+        row = (codes[-1] * m + codes[-2]) * m + codes[-3]
+        codes.append(int(rng.choice(m, p=rows[row])))
+    params = b.BctHyperParams(m, depth, beta)
+    return b.CountTree.from_arrays(np.array(codes), depth, params).map_model(with_params=True)
 
 
 def random_spec(seed, m, depths, lengths):
@@ -199,16 +242,27 @@ class TestGeneratePiecewise:
             PiecewiseSpec(alphabet=alpha, depth=1, segments=(SegmentSpec(deep, 5),))
         with pytest.raises(ValueError, match="parameters"):
             SegmentSpec(TreeModel(2, [()]), 5)
+        # a context entry is not truncated to an integer
+        one = SegmentSpec(iid_model([0.5, 0.5]), 5)
+        for entry in (0.5, True, "1"):
+            with pytest.raises(ValueError, match="initial_context entry must be an integer"):
+                PiecewiseSpec(alphabet=alpha, depth=1, segments=(one,), initial_context=(entry,))
+
+
+def _run_python(code, *args, **env):
+    """Standard output of `python -c code args...` in a process that imports
+    this bctseg, with `env` added to the environment."""
+    path = [str(Path(b.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout
 
 
 def _scipy_sparse_modules_after_import(module):
-    path = [str(Path(b.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     probe = (f"import json, sys, {module}; "
              "print(json.dumps([k for k in sys.modules if k.startswith('scipy.sparse')]))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    return set(json.loads(done.stdout))
+    return set(json.loads(_run_python(probe)))
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -239,19 +293,8 @@ class TestStationaryMarginal:
         assert marg.sum() == pytest.approx(1.0, abs=1e-10)
 
         # rebuild the window kernel independently and verify the fixed point
-        m, d = model.m, model.depth
-        S = m**d
-        P = np.zeros((S, S))
-        for code in range(S):
-            window = []
-            c = code
-            for _ in range(d):
-                window.append(c % m)
-                c //= m
-            theta = model.theta(model.leaf_for(window[::-1]))
-            for j in range(m):
-                nxt = j + m * (code % m ** (d - 1))
-                P[code, nxt] += theta[j]
+        m, S = model.m, model.m**model.depth
+        P = window_kernel(model)
         pi = np.full(S, 1 / S)
         for _ in range(200_000):
             new = pi @ P
@@ -263,29 +306,50 @@ class TestStationaryMarginal:
         assert np.abs(marg - expect).max() < 1e-9
 
     # Digests of the marginal's bytes for MAP models fitted to sparse order-3
-    # chains, taken when count trees put the most recent symbol in the last
-    # digit of a context code and the solver reversed decoded contexts.
+    # chains, taken from the sparse LU solve under one and under two BLAS
+    # threads (the same bytes).
     @pytest.mark.parametrize(
         "m, depth, beta, seed, digest",
         [
-            (3, 5, 0.3, 7, "772ceaf14340480e0ae91302ede1cec8b5e0f6e0ee1441973d614f9658b3fb06"),
-            (4, 4, 0.2, 9, "c6143ecb168ebe3d57682f62f071e49b96f25e4e83e429672d7720fe4f51d983"),
+            (3, 5, 0.3, 7, "ed2990510dd52a707aee7a628b358b7fe83fb6e4be7f3321f83db76c8678ae40"),
+            (4, 4, 0.2, 9, "ac01e35b0612c0bef68d70e0dca843d4747a9e2867b0a59bdde16b92ea23729a"),
         ],
     )
     def test_fitted_model_matches_pinned_digest(self, m, depth, beta, seed, digest):
-        rng = np.random.default_rng(seed)
-        rows = rng.dirichlet(np.full(m, 0.5), size=m**3)
-        codes = [0, 0, 0]
-        for _ in range(3000 + depth - 3):
-            row = (codes[-1] * m + codes[-2]) * m + codes[-3]
-            codes.append(int(rng.choice(m, p=rows[row])))
-        params = b.BctHyperParams(m, depth, beta)
-        model = b.CountTree.from_arrays(np.array(codes), depth, params).map_model(
-            with_params=True
-        )
+        model = fitted_model(m, depth, beta, seed)
         assert model.depth >= 3
         marg = b.stationary_marginal(model)
         assert hashlib.sha256(marg.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "m, d, transient",
+        [(2, 1, False), (2, 3, True), (2, 6, False), (2, 6, True), (3, 2, True),
+         (3, 4, False), (3, 5, True), (4, 1, True), (4, 3, False), (4, 4, True),
+         (4, 6, False)],
+    )
+    def test_matches_dense_oracle(self, m, d, transient):
+        model = random_chain(m, d, transient)
+        if transient:
+            # the pinned state is not the last one, which is transient
+            kernel = sparse.csr_matrix(window_kernel(model))
+            assert simulate._require_unique_recurrent_class(kernel) != m**d - 1
+        marg = b.stationary_marginal(model)
+        assert np.abs(marg - dense_stationary_marginal(model)).max() < 1e-13
+
+    def test_same_bytes_under_one_and_two_blas_threads(self):
+        probe = (
+            "import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
+            "import bctseg as b; from test_simulate import fitted_model, random_chain; "
+            "models = [fitted_model(3, 5, 0.3, 7), random_chain(4, 5, True), "
+            "random_chain(4, 6, False)]; "
+            "print([hashlib.sha256(b.stationary_marginal(x).tobytes()).hexdigest() "
+            "for x in models])"
+        )
+        outputs = [
+            _run_python(probe, str(Path(__file__).parent), OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_reducible_chain_rejected(self):
         alpha = Alphabet.of_size(2)
