@@ -38,8 +38,8 @@ class ChangePoints:
 
     def __post_init__(self):
         n = int(self.n)
-        if n < 3:
-            raise ValueError("series too short to carry interior change-points")
+        if n < 1:
+            raise ValueError("a series needs at least one observation")
         pos = tuple(int(p) for p in self.positions)
         for p in pos:
             if not 2 <= p <= n - 1:

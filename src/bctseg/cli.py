@@ -61,7 +61,7 @@ class _EnvParser(argparse.ArgumentParser):
         saved = [(action, action.default, action.required) for action in self._actions]
         groups = [(group, group.required) for group in self._mutually_exclusive_groups]
         try:
-            self._apply_environment()
+            self._apply_environment(sys.argv[1:] if args is None else args)
             return super().parse_known_args(args, namespace)
         finally:
             for action, default, required in saved:
@@ -69,10 +69,17 @@ class _EnvParser(argparse.ArgumentParser):
             for group, required in groups:
                 group.required = required
 
-    def _apply_environment(self):
+    def _apply_environment(self, args):
+        # a flag on the command line, as --flag or --flag=value, leaves the
+        # variables of every member of its exclusive group unread
+        given = {token.partition("=")[0] for token in args}
+        skip = set()
+        for group in self._mutually_exclusive_groups:
+            if any(given.intersection(a.option_strings) for a in group._group_actions):
+                skip.update(group._group_actions)
         from_env = set()
         for action in self._actions:
-            if not action.option_strings or action.default is argparse.SUPPRESS:
+            if not action.option_strings or action.default is argparse.SUPPRESS or action in skip:
                 continue
             name = f"BCTSEG_{action.dest.upper()}"
             raw = os.environ.get(name)
@@ -447,7 +454,7 @@ def cmd_generate(args) -> dict:
 
     labels = seq.alphabet.labels
     joiner = "" if all(len(lab) == 1 for lab in labels) else "\n"
-    full = list(seq.context) + list(seq.observations)
+    full = seq.full_codes().tolist()
     files = {
         "sequence.txt": lambda fh: fh.write(joiner.join(labels[c] for c in full) + "\n"),
         "changepoints.json": _json(

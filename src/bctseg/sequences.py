@@ -47,19 +47,6 @@ class Alphabet:
         except KeyError:
             raise ParseError(f"symbol {token!r} is not in the alphabet") from None
 
-    def encode(self, tokens) -> np.ndarray:
-        return np.array([self.code_of(t) for t in tokens], dtype=np.int64)
-
-    def decode(self, codes) -> list[str]:
-        m = self.size
-        out = []
-        for c in codes:
-            c = int(c)
-            if not 0 <= c < m:
-                raise ValueError(f"code {c} outside alphabet of size {m}")
-            out.append(self.labels[c])
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.labels == other.labels
 
@@ -75,23 +62,28 @@ class Sequence:
 
     The context holds the symbols immediately preceding x_1, oldest first.
     Its length fixes the maximum memory depth usable with this sequence.
+    Both are views of one int64 buffer, in an unpickled copy too.
     """
 
     __slots__ = ("alphabet", "context", "observations", "_full")
 
     def __init__(self, alphabet: Alphabet, context, observations):
         self.alphabet = alphabet
-        self.context = np.ascontiguousarray(context, dtype=np.int64)
-        self.observations = np.ascontiguousarray(observations, dtype=np.int64)
-        if self.context.ndim != 1 or self.observations.ndim != 1:
+        context = np.asarray(context, dtype=np.int64)
+        observations = np.asarray(observations, dtype=np.int64)
+        if context.ndim != 1 or observations.ndim != 1:
             raise ValueError("context and observations must be one-dimensional")
-        if self.observations.size < 1:
+        if observations.size < 1:
             raise ValueError("a sequence needs at least one observation")
+        full = np.concatenate([context, observations])
         m = alphabet.size
-        for part in (self.context, self.observations):
-            if part.size and (part.min() < 0 or part.max() >= m):
-                raise ValueError(f"symbol codes must lie in [0, {m})")
-        self._full = np.concatenate([self.context, self.observations])
+        if full.min() < 0 or full.max() >= m:
+            raise ValueError(f"symbol codes must lie in [0, {m})")
+        self._full = full
+        self.context, self.observations = full[: context.size], full[context.size :]
+
+    def __reduce__(self):
+        return Sequence, (self.alphabet, self.context, self.observations)
 
     @property
     def n(self) -> int:
@@ -108,10 +100,6 @@ class Sequence:
 
     def __repr__(self):
         return f"Sequence(n={self.n}, depth={self.depth}, m={self.alphabet.size})"
-
-
-def dna_mapping() -> dict[str, int]:
-    return {lab: i for i, lab in enumerate(DNA_LABELS)}
 
 
 def _as_text(data) -> str:
@@ -132,7 +120,7 @@ def parse_fasta(data, mapping: dict[str, int] | None = None) -> list[int]:
     """
     text = _as_text(data)
     if mapping is None:
-        mapping = dna_mapping()
+        mapping = {lab: i for i, lab in enumerate(DNA_LABELS)}
     lines = text.splitlines()
     start = None
     for i, line in enumerate(lines):

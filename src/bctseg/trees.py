@@ -238,12 +238,7 @@ class CountTree:
         # depth d holds rows _depth_rows[d] up to _depth_rows[d + 1]
         self._depth_rows = list(accumulate(sizes, initial=0))
         self._all_counts = counts
-        rows = self._depth_rows
-        self._counts = [counts[a:b] for a, b in zip(rows[:-1], rows[1:])]
         self.n = n
-        self._log_pe = None
-        self._log_pw = None
-        self._log_pm = None
 
     @cached_property
     def _codes(self) -> list[np.ndarray]:
@@ -263,6 +258,24 @@ class CountTree:
         parents = np.cumsum(opens.ravel()[np.flatnonzero(opens[1:])])
         parents -= np.repeat(rows[:-2] + 1, np.diff(rows[1:]))
         return parents
+
+    @cached_property
+    def _log_pe(self) -> np.ndarray:
+        """Each node's KT log likelihood, row by row."""
+        m = self.params.m
+        return _vector_kt(self._all_counts, m, _resident_kt_tables(self.n, m))
+
+    @cached_property
+    def _log_pw(self) -> np.ndarray:
+        """Each node's weighted score; an absent subtree has weighted
+        probability one, score 0 in logs."""
+        return self._bottom_up(np.logaddexp, np.zeros(self.params.depth + 1))
+
+    @cached_property
+    def _log_pm(self) -> np.ndarray:
+        """Each node's maximised score; an absent subtree scores its
+        data-free maximum."""
+        return self._bottom_up(np.maximum, _empty_log_pm(self.params))
 
     # ---------------------------------------------------------------- build
 
@@ -304,11 +317,6 @@ class CountTree:
             raise ValueError("sequence alphabet does not match the parameters")
         return cls.from_arrays(seq.full_codes(), seq.depth, params)
 
-    @classmethod
-    def empty(cls, params: BctHyperParams):
-        """Tree over zero observations: a root with zero counts."""
-        return cls.from_arrays(np.zeros(params.depth, dtype=np.int64), params.depth, params)
-
     # ------------------------------------------------------------- accessors
 
     @staticmethod
@@ -347,8 +355,8 @@ class CountTree:
 
     def contexts_at_depth(self, d: int):
         """Pairs (context tuple, count vector) for the observed depth-d nodes."""
-        m = self.params.m
-        for code, row in zip(self._codes[d], self._counts[d]):
+        m, rows = self.params.m, self._depth_rows
+        for code, row in zip(self._codes[d], self._all_counts[rows[d] : rows[d + 1]]):
             yield self.decode_context(int(code), d, m), row.astype(np.int64)
 
     # ------------------------------------------------------- recursions
@@ -361,8 +369,6 @@ class CountTree:
         m, D = self.params.m, self.params.depth
         lb, l1b = self.params.log_beta, self.params.log_1mbeta
         rows = self._depth_rows
-        if self._log_pe is None:
-            self._log_pe = _vector_kt(self._all_counts, m, _resident_kt_tables(self.n, m))
         scores = lb + self._log_pe
         scores[rows[D] :] = self._log_pe[rows[D] :]
         for d in range(D, 0, -1):
@@ -381,26 +387,14 @@ class CountTree:
             combine(scores[a:b], l1b + child_sum, out=scores[a:b])
         return scores
 
-    def _weighted(self) -> np.ndarray:
-        # an absent subtree has weighted probability one: score 0 in logs
-        if self._log_pw is None:
-            self._log_pw = self._bottom_up(np.logaddexp, np.zeros(self.params.depth + 1))
-        return self._log_pw
-
-    def _maximised(self) -> np.ndarray:
-        # an absent subtree scores its data-free maximum
-        if self._log_pm is None:
-            self._log_pm = self._bottom_up(np.maximum, _empty_log_pm(self.params))
-        return self._log_pm
-
     def log_evidence(self) -> float:
         """Log of the prior predictive likelihood: all tree models of depth
         <= D and all leaf parameters integrated out."""
-        return float(self._weighted()[0])
+        return float(self._log_pw[0])
 
     def root_log_pm(self) -> float:
         """Log posterior score of the maximising tree model."""
-        return float(self._maximised()[0])
+        return float(self._log_pm[0])
 
     def log_pw_at(self, context) -> float:
         """Weighted score of an observed node (for invariant checks)."""
@@ -408,50 +402,45 @@ class CountTree:
         row = self._row(d, self.encode_context(context, self.params.m))
         if row < 0:
             raise KeyError(f"context {context!r} not in the tree")
-        return float(self._weighted()[row])
+        return float(self._log_pw[row])
 
     # --------------------------------------------------------------- MAP tree
 
     def map_model(self, with_params: bool = False):
         """The maximum a posteriori tree model, optionally with posterior-mean
-        next-symbol probabilities attached to its leaves."""
-        log_pm = self._maximised()
-        m, D = self.params.m, self.params.depth
-        l1b, lb = self.params.log_1mbeta, self.params.log_beta
+        next-symbol probabilities attached to its leaves.
+
+        One top-down walk over the nodes of the bottom-up pass. An observed
+        node compares its maximised score with its stop term log beta + pe;
+        an unobserved one (row -1, as are all its children) compares its
+        data-free maximum with log beta."""
+        log_pm, log_pe = self._log_pm, self._log_pe
+        m, D, lb = self.params.m, self.params.depth, self.params.log_beta
         empty = _empty_log_pm(self.params)
-        leaves: list[tuple[int, ...]] = []
-
-        def expand_absent(prefix, d):
-            # data-free subtrees split only while the split score strictly wins
-            if d < D and l1b + m * empty[d + 1] > lb:
-                for j in range(m):
-                    expand_absent(prefix + (j,), d + 1)
-            else:
-                leaves.append(prefix)
-            if len(leaves) > MAP_MAX_LEAVES:
-                raise ValueError("MAP tree exceeds the leaf cap")
-
-        stack = [(0, 0, ())]
+        leaves: dict[tuple[int, ...], int] = {}  # leaf context -> row
+        stack = [(0, 0, 0, ())]
         while stack:
-            code, d, ctx = stack.pop()
-            row = self._row(d, code)
+            row, code, d, ctx = stack.pop()
+            best, stop = (log_pm[row], lb + log_pe[row]) if row >= 0 else (empty[d], lb)
             # a node splits only when the split term strictly beats stopping,
             # so ties break toward the leaf (the smaller model)
-            if d == D or not log_pm[row] > lb + self._log_pe[row]:
-                leaves.append(ctx)
+            if d == D or not best > stop:
+                leaves[ctx] = row
+                if len(leaves) > MAP_MAX_LEAVES:
+                    raise ValueError("MAP tree exceeds the leaf cap")
                 continue
             for j in range(m):
                 child = code * m + j
-                if self._row(d + 1, child) >= 0:
-                    stack.append((child, d + 1, ctx + (j,)))
-                else:
-                    expand_absent(ctx + (j,), d + 1)
-            if len(leaves) > MAP_MAX_LEAVES:
-                raise ValueError("MAP tree exceeds the leaf cap")
+                below = self._row(d + 1, child) if row >= 0 else -1
+                stack.append((below, child, d + 1, ctx + (j,)))
 
         params = None
         if with_params:
-            params = {s: leaf_posterior_mean(self.count_vector(s)) for s in leaves}
+            unseen = np.zeros(m, dtype=np.int64)
+            params = {
+                s: leaf_posterior_mean(self._all_counts[row] if row >= 0 else unseen)
+                for s, row in leaves.items()
+            }
         return TreeModel(m, leaves, params)
 
 
@@ -585,16 +574,6 @@ def parse_context_string(s: str, alphabet: Alphabet) -> tuple[int, ...]:
 
 
 # ------------------------------------------------------------------ operations
-
-
-def build_counts(seq: Sequence, params: BctHyperParams) -> CountTree:
-    """Count, for every depth 0..D, how often each symbol follows each context."""
-    return CountTree.from_sequence(seq, params)
-
-
-def ctw_log_evidence(seq: Sequence, params: BctHyperParams) -> float:
-    """Log prior predictive likelihood of the observations given the context."""
-    return CountTree.from_sequence(seq, params).log_evidence()
 
 
 def span_log_evidence(codes: np.ndarray, params: BctHyperParams) -> float:

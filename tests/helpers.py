@@ -42,7 +42,7 @@ def count_contexts_by_hand(context, obs, depth, m) -> dict:
 
 def enumerate_map_score(x, params):
     """Best posterior tree score (and the maximisers) by full enumeration."""
-    counts = b.build_counts(x, params)
+    counts = b.CountTree.from_sequence(x, params)
     best_score = -math.inf
     best_trees = []
     for tree in b.enumerate_proper_trees(params.m, params.depth):
@@ -57,7 +57,7 @@ def enumerate_map_score(x, params):
 
 
 def model_score(x, model, params) -> float:
-    counts = b.build_counts(x, params)
+    counts = b.CountTree.from_sequence(x, params)
     return b.tree_log_prior(model.leaves, params) + sum(
         b.kt_log_prob(counts.count_vector(s)) for s in model.leaves
     )

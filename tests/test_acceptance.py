@@ -45,7 +45,8 @@ def test_criterion_1_oracle_equivalence():
         raw = rng.integers(0, 2, size=n + depth)
         x = b.split_context(raw, depth, b.Alphabet.of_size(2))
         params = BctHyperParams(2, depth, beta)
-        diff = abs(b.ctw_log_evidence(x, params) - b.brute_force_evidence(x, params))
+        evidence = b.CountTree.from_sequence(x, params).log_evidence()
+        diff = abs(evidence - b.brute_force_evidence(x, params))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
     report(
@@ -81,7 +82,7 @@ def test_criterion_2_prior_normalisation():
     alpha = b.Alphabet.of_size(2)
     ctx = np.array([0, 1])
     logs = [
-        b.ctw_log_evidence(b.Sequence(alpha, ctx, np.array(bits)), params)
+        b.CountTree.from_sequence(b.Sequence(alpha, ctx, np.array(bits)), params).log_evidence()
         for bits in itertools.product(range(2), repeat=6)
     ]
     total = math.exp(logsumexp(logs))
@@ -247,7 +248,7 @@ def test_criterion_8_property_battery():
         depth = int(rng.integers(1, 4))
         raw = rng.integers(0, 2, size=int(rng.integers(depth + 2, 60)))
         x = b.split_context(raw, depth, b.Alphabet.of_size(2))
-        tree = b.build_counts(x, BctHyperParams(2, depth))
+        tree = b.CountTree.from_sequence(x, BctHyperParams(2, depth))
         oracle = count_contexts_by_hand(raw[:depth], raw[depth:], depth, 2)
         for d in range(depth):
             for ctx, vec in tree.contexts_at_depth(d):

@@ -31,6 +31,15 @@ class TestChangePoints:
         with pytest.raises(ValueError):
             ChangePoints(10, (7, 4))
 
+    def test_short_series_carry_no_interior_point(self):
+        # one or two observations make one segment, but no point fits
+        assert ChangePoints(1).full() == (1, 1)
+        assert ChangePoints(2).gaps() == [0]
+        with pytest.raises(ValueError):
+            ChangePoints(2, (2,))
+        with pytest.raises(ValueError):
+            ChangePoints(0)
+
     def test_adjacent_allowed_at_construction(self):
         cp = ChangePoints(10, (4, 5))
         assert b.log_prior_positions(cp) == -math.inf
@@ -156,7 +165,7 @@ class TestJointEvidence:
         params = BctHyperParams(2, 1)
         cp = ChangePoints(switch_sequence.n)
         assert b.log_joint_evidence(switch_sequence, cp, params) == pytest.approx(
-            b.ctw_log_evidence(switch_sequence, params), abs=1e-14
+            b.CountTree.from_sequence(switch_sequence, params).log_evidence(), abs=1e-14
         )
 
     def test_factorises_over_segments(self):
@@ -169,7 +178,7 @@ class TestJointEvidence:
         parts = 0.0
         for view in b.partition(x, cp):
             seg = b.Sequence(x.alphabet, view.context, view.observations)
-            parts += b.ctw_log_evidence(seg, params)
+            parts += b.CountTree.from_sequence(seg, params).log_evidence()
         assert joint == pytest.approx(parts, abs=1e-12)
 
     def test_cache_transparent_over_random_configs(self):

@@ -301,6 +301,27 @@ class TestMapTree:
         for seg in obj["segments"]:
             assert seg["model"]["params"]
 
+    @pytest.mark.parametrize("command", ["maptree", "stationary"])
+    @pytest.mark.parametrize("series", ["0", "01"])
+    def test_one_or_two_observations(self, tmp_path, command, series):
+        path = tmp_path / "short.txt"
+        path.write_text(series)
+        out = tmp_path / "run"
+        assert run_cli(command, path, "--depth", 0, "--out", out) == 0
+        obj = json.loads((out / f"{command}.json").read_text())
+        assert [(s["start"], s["end"]) for s in obj["segments"]] == [(1, len(series))]
+
+    def test_leaf_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # at beta 0.03 the data-free subtrees split down to depth 8: 256 leaves
+        monkeypatch.setattr(b.trees, "MAP_MAX_LEAVES", 64)
+        path = tmp_path / "sparse.txt"
+        path.write_text("0011" * 17)
+        out = tmp_path / "run"
+        args = ("maptree", path, "--depth", 8, "--beta", 0.03, "--out", out)
+        assert run_cli(*args) == 2
+        assert _error_lines(capsys) == 1
+        assert not (out / "maptree.json").exists()
+
     def test_bad_segment_position(self, toy_binary, tmp_path):
         assert run_cli(
             "maptree", toy_binary, "--depth", 1, "--segments", "500", "--out", tmp_path
@@ -625,6 +646,24 @@ class TestErrors:
             run_cli(*args, "--out", tmp_path / "b")
         assert exc.value.code == 2
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "variable, flag, mode",
+        [("BCTSEG_LMAX", ["--num-changes", "2"], "fixed"),
+         ("BCTSEG_NUM_CHANGES", ["--lmax=2"], "variable")],
+    )
+    def test_flag_beats_env_value_of_its_group(
+        self, toy_binary, tmp_path, monkeypatch, variable, flag, mode
+    ):
+        # a flag of the --lmax/--num-changes group on the command line keeps
+        # the variable of the other member from setting it as well
+        monkeypatch.setenv(variable, "1")
+        out = tmp_path / "run"
+        args = ["segment", toy_binary, "--depth", 2, *flag, "--iters", 50, "--burnin", 10]
+        assert run_cli(*args, "--out", out) == 0
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert parameters["mode"] == mode
+        assert {parameters["lmax"], parameters["num_changes"]} == {2, None}
 
     def test_env_value_ignored_by_other_commands(self, tmp_path, monkeypatch):
         # generate has no --chains, so BCTSEG_CHAINS does not concern it

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,16 +21,6 @@ class TestAlphabet:
             Alphabet(("0", "0"))
         with pytest.raises(ValueError):
             Alphabet(("0",))
-
-    @settings(derandomize=True, max_examples=50)
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
-    def test_round_trip(self, codes):
-        dna = Alphabet.dna()
-        assert list(dna.encode(dna.decode(codes))) == codes
-
-    def test_encode_unknown_token(self):
-        with pytest.raises(ParseError):
-            Alphabet.of_size(2).encode(["0", "x"])
 
 
 class TestParseFasta:
@@ -125,3 +117,10 @@ class TestSequence:
     def test_full_codes(self, binary_alphabet):
         seq = b.Sequence(binary_alphabet, [1, 0], [0, 1, 1])
         assert list(seq.full_codes()) == [1, 0, 0, 1, 1]
+
+    def test_one_buffer_survives_pickling(self, binary_alphabet):
+        seq = b.Sequence(binary_alphabet, [1, 0], [0, 1, 1])
+        for copy in (seq, pickle.loads(pickle.dumps(seq))):
+            assert copy.context.base is copy.full_codes()
+            assert copy.observations.base is copy.full_codes()
+            assert list(copy.full_codes()) == [1, 0, 0, 1, 1]

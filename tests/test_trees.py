@@ -166,14 +166,14 @@ class TestResidentKtTables:
 class TestBuildCounts:
     def test_single_transition(self):
         seq = make_seq([0, 1], 1)
-        tree = b.build_counts(seq, BctHyperParams(2, 1))
+        tree = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         assert list(tree.count_vector(())) == [0, 1]
         assert list(tree.count_vector((0,))) == [0, 1]
 
     def test_hand_recounted_example(self):
         # context=[1], obs=[0,1,0]: recount every (i, d) pair by hand/oracle
         seq = make_seq([1, 0, 1, 0], 1)
-        tree = b.build_counts(seq, BctHyperParams(2, 1))
+        tree = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         oracle = count_contexts_by_hand([1], [0, 1, 0], 1, 2)
         assert list(tree.count_vector(())) == oracle[()] == [2, 1]
         assert list(tree.count_vector((1,))) == oracle[(1,)] == [2, 0]
@@ -183,7 +183,7 @@ class TestBuildCounts:
         rng = np.random.default_rng(3)
         raw = rng.integers(0, 4, size=5243)
         seq = b.split_context(raw, 10, b.Alphabet.dna())
-        tree = b.build_counts(seq, BctHyperParams(4, 10))
+        tree = CountTree.from_sequence(seq, BctHyperParams(4, 10))
         assert int(tree.count_vector(()).sum()) == seq.n == 5233
 
     @settings(derandomize=True, max_examples=40)
@@ -192,7 +192,7 @@ class TestBuildCounts:
         if len(raw) <= depth:
             return
         seq = make_seq(raw, depth)
-        tree = b.build_counts(seq, BctHyperParams(2, depth))
+        tree = CountTree.from_sequence(seq, BctHyperParams(2, depth))
         oracle = count_contexts_by_hand(raw[:depth], raw[depth:], depth, 2)
         for s, vec in oracle.items():
             assert list(tree.count_vector(s)) == vec
@@ -206,7 +206,7 @@ class TestBuildCounts:
         if len(raw) <= depth:
             return
         seq = make_seq(raw, depth)
-        tree = b.build_counts(seq, BctHyperParams(2, depth))
+        tree = CountTree.from_sequence(seq, BctHyperParams(2, depth))
         for d in range(depth):
             for ctx, vec in tree.contexts_at_depth(d):
                 total = sum(tree.count_vector(ctx + (j,)) for j in range(2))
@@ -217,9 +217,9 @@ class TestCtwEvidence:
     def test_depth_zero_equals_kt(self):
         seq = make_seq([0, 1, 1, 0, 1], 0)
         params = BctHyperParams(2, 0)
-        ev = b.ctw_log_evidence(seq, params)
-        root = b.build_counts(seq, params).count_vector(())
-        assert ev == pytest.approx(b.kt_log_prob(root), abs=1e-14)
+        tree = CountTree.from_sequence(seq, params)
+        root = tree.count_vector(())
+        assert tree.log_evidence() == pytest.approx(b.kt_log_prob(root), abs=1e-14)
 
     def test_matches_brute_force_random_beta(self):
         rng = np.random.default_rng(11)
@@ -230,7 +230,7 @@ class TestCtwEvidence:
             raw = rng.integers(0, 2, size=n + depth)
             seq = make_seq(raw, depth)
             params = BctHyperParams(2, depth, beta)
-            assert b.ctw_log_evidence(seq, params) == pytest.approx(
+            assert CountTree.from_sequence(seq, params).log_evidence() == pytest.approx(
                 b.brute_force_evidence(seq, params), abs=1e-10
             )
 
@@ -239,7 +239,7 @@ class TestCtwEvidence:
         alpha = b.Alphabet.of_size(2)
         ctx = np.array([0, 1])
         logs = [
-            b.ctw_log_evidence(b.Sequence(alpha, ctx, np.array(bits)), params)
+            CountTree.from_sequence(b.Sequence(alpha, ctx, np.array(bits)), params).log_evidence()
             for bits in itertools.product(range(2), repeat=6)
         ]
         assert math.exp(logsumexp(logs)) == pytest.approx(1.0, abs=1e-10)
@@ -250,7 +250,7 @@ class TestCtwEvidence:
         if len(raw) <= depth:
             return
         seq = make_seq(raw, depth)
-        assert b.ctw_log_evidence(seq, BctHyperParams(2, depth)) <= 0.0
+        assert CountTree.from_sequence(seq, BctHyperParams(2, depth)).log_evidence() <= 0.0
 
     @settings(derandomize=True, max_examples=30)
     @given(random_binary, st.integers(0, 2), st.integers(0, 1))
@@ -260,14 +260,15 @@ class TestCtwEvidence:
         params = BctHyperParams(2, depth)
         short = make_seq(raw, depth)
         long = make_seq(raw + [extra], depth)
-        assert b.ctw_log_evidence(long, params) <= b.ctw_log_evidence(short, params) + 1e-12
+        evidence = [CountTree.from_sequence(x, params).log_evidence() for x in (long, short)]
+        assert evidence[0] <= evidence[1] + 1e-12
 
     def test_weighted_dominates_stop_term(self):
         rng = np.random.default_rng(5)
         raw = rng.integers(0, 2, size=40)
         seq = make_seq(raw, 3)
         params = BctHyperParams(2, 3, 0.37)
-        tree = b.build_counts(seq, params)
+        tree = CountTree.from_sequence(seq, params)
         for d in range(4):
             for ctx, vec in tree.contexts_at_depth(d):
                 lower = params.log_beta + b.kt_log_prob(vec)
@@ -278,7 +279,8 @@ class TestCtwEvidence:
 
 class TestMapTree:
     def test_no_data_gives_root_only(self):
-        tree = CountTree.empty(BctHyperParams(2, 3, 0.5))
+        codes = np.zeros(3, dtype=np.int64)  # the context alone
+        tree = CountTree.from_arrays(codes, 3, BctHyperParams(2, 3, 0.5))
         assert tree.map_model().leaves == frozenset({()})
 
     def test_depth_zero(self):
@@ -297,16 +299,24 @@ class TestMapTree:
             model = b.map_tree(seq, params)
             score = model_score(seq, model, params)
             best_score, best_trees = enumerate_map_score(seq, params)
-            counts = b.build_counts(seq, params)
+            counts = CountTree.from_sequence(seq, params)
             assert score == pytest.approx(best_score, abs=1e-10)
             assert score == pytest.approx(counts.root_log_pm(), abs=1e-10)
             # tie rule: smallest maximiser
             assert len(model.leaves) == min(len(t) for t in best_trees)
 
+    def test_leaf_cap(self, monkeypatch):
+        # 8 observed leaves, and data-free subtrees that expand to 58 more
+        monkeypatch.setattr(trees, "MAP_MAX_LEAVES", 64)
+        codes = TestPinnedResults.order_two_chain(2, 68, 40)
+        tree = CountTree.from_arrays(codes, 8, BctHyperParams(2, 8, 0.03))
+        with pytest.raises(ValueError, match="leaf cap"):
+            tree.map_model()
+
     def test_attaches_posterior_mean_parameters(self):
         seq = make_seq([0, 0, 1, 0, 0, 1, 0], 1)
         model = b.map_tree(seq, BctHyperParams(2, 1), with_params=True)
-        counts = b.build_counts(seq, BctHyperParams(2, 1))
+        counts = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         for leaf in model.leaves:
             expect = b.leaf_posterior_mean(counts.count_vector(leaf))
             assert np.allclose(model.theta(leaf), expect, atol=1e-15)
@@ -349,6 +359,49 @@ class TestPinnedResults:
             model.to_json(b.Alphabet.of_size(m)), sort_keys=True
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    # Digests of the MAP model with its leaf parameters, taken when the MAP
+    # read-out walked unobserved subtrees apart from observed ones; the cases
+    # were drawn at random, with m**D capped where small beta splits data-free
+    # subtrees down to the depth cap.
+    @pytest.mark.parametrize(
+        "m, depth, beta, n, seed, digest",
+        [
+            (5, 1, 0.58, 158, 20, "6ad96a601c38218719bca580b4f7206f7b3e42c9dcac2021a51ded6a0cc5e70d"),
+            (3, 0, 0.33, 160, 21, "e6db53d219e93fe5054780ef86820d5772022245a696d23ab299e7a415a711a5"),
+            (5, 5, 0.82, 294, 22, "e36baa6f1555a1874810035c6011adcd1227bc5e08c123f8a7bd6c1cf7c07e80"),
+            (2, 7, 0.28, 268, 23, "103c47da9f270b6853c7c32f8569f05dbd054507227d95569659db395c58f8b5"),
+            (2, 8, 0.83, 127, 24, "99227f665f4515b5a93db0918acadb9a6d0687c80e16af7e3467a19e0bdbd227"),
+            (4, 5, 0.47, 306, 25, "b8aac30e17b143f6d720c6380ab47bbc845781aa11f08c5619e045e051cb3123"),
+            (4, 6, 0.41, 194, 26, "b3ec08beae2fe0d9dd5a8c6265195749215471749fad1ce4d0bc488d48c86519"),
+            (3, 1, 0.22, 125, 27, "02478c09beadda92ddf11ff3c1ce2c06064d9f0a15acf0d018510f0162ea47e6"),
+            (5, 4, 0.4, 122, 28, "f7258dfdaca71456e2937adad8210df908455573cb012518211f27576b8fb53c"),
+            (4, 6, 0.41, 24, 29, "b722bc25e9df0f9fb75f11465b685f876d4efc79234c530d49ced3e6252c00ec"),
+            (5, 3, 0.19, 201, 30, "4a1d6114fbc591bbf5bb920399751c4390c1cc2338c66f07438db9a141714517"),
+            (4, 2, 0.28, 185, 31, "545ab5d75c9c5f43cf554ac718dac4445ba6279b3f16a8363fd0d17236ab682d"),
+            (5, 1, 0.79, 383, 32, "468a20c075accdc80591c30de3c6516f2b59bed859affccf900412aa2ed77d7a"),
+            (5, 4, 0.32, 250, 33, "76b3ee2c7ffd75ae1d28b25b61b6b2f8bd6535e3e5e3c6910360d0eff8b1f0ea"),
+            (3, 7, 0.52, 246, 34, "39dd48ac9fcd1a09b5e43fc0ecc37f036cf35a3e45aba8083369269828c798a4"),
+            (3, 3, 0.3, 362, 35, "915efcb6f28c241f0d2f547a8a08f0a6c5104bab5bddc4c6d7c345316334a94e"),
+            (3, 6, 0.3, 49, 36, "7e36180733410d2d8e6ecf3c769696a9b3767aeac57e9002d93b621b6dcb485e"),
+            (3, 0, 0.22, 286, 37, "e17b4e113b3a5baa557a27f07fd480af5bb2bb4fb39729b231d53829eba0048c"),
+            (4, 4, 0.53, 258, 38, "42575a82a0cb4cebdb0e4ed99b7508865552195315cf54d05e3363df70410239"),
+            (2, 1, 0.5, 297, 39, "a99fe887e7c9d20666a1caefa9543e3559416507fc983065a48bfb75adc80014"),
+            (2, 8, 0.03, 60, 40, "858f61945451059a6f05166d7681a70e516095c9d83f04bce2e7720dfd600c0e"),
+            (3, 5, 0.05, 80, 41, "cd3e20b9c7149d8e268a74a0bb02d934fb6cee2fdce3a462cbdde0516a3b7211"),
+        ],
+    )
+    def test_map_readout_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
+        params = BctHyperParams(m, depth, beta)
+        tree = CountTree.from_arrays(self.order_two_chain(m, n + depth, seed), depth, params)
+        model = tree.map_model(with_params=True)
+        blob = json.dumps(model.to_json(b.Alphabet.of_size(m)), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+        # the read-out tree scores what the bottom-up pass says the best one does
+        score = b.tree_log_prior(model.leaves, params) + sum(
+            b.kt_log_prob(tree.count_vector(s)) for s in model.leaves
+        )
+        assert score == pytest.approx(tree.root_log_pm(), abs=1e-10)
 
     def test_slices_match_pinned_digest(self):
         # 200 segments of one series at the ternary benchmark's m and D, as
@@ -467,10 +520,12 @@ class TestContextNodes:
 
     def test_empty_tree_is_a_root_without_counts(self):
         for m, depth in [(2, 0), (3, 4), (11, 10)]:
-            tree = CountTree.empty(BctHyperParams(m, depth))
+            codes = np.zeros(depth, dtype=np.int64)
+            tree = CountTree.from_arrays(codes, depth, BctHyperParams(m, depth))
             assert tree.n == 0
             assert [c.size for c in tree._codes] == [1] + [0] * depth
-            assert [c.shape for c in tree._counts] == [(1, m)] + [(0, m)] * depth
+            assert tree._depth_rows == [0] + [1] * (depth + 1)
+            assert tree._all_counts.shape == (1, m)
             assert not tree.count_vector(()).any()
 
 
@@ -478,7 +533,7 @@ class TestBruteForce:
     def test_depth_zero_equals_kt(self):
         seq = make_seq([1, 0, 1], 0)
         params = BctHyperParams(2, 0)
-        root = b.build_counts(seq, params).count_vector(())
+        root = CountTree.from_sequence(seq, params).count_vector(())
         assert b.brute_force_evidence(seq, params) == pytest.approx(
             b.kt_log_prob(root), abs=1e-14
         )
