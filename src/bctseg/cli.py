@@ -70,12 +70,21 @@ class _EnvParser(argparse.ArgumentParser):
                 group.required = required
 
     def _apply_environment(self, args):
-        # a flag on the command line, as --flag or --flag=value, leaves the
-        # variables of every member of its exclusive group unread
-        given = {token.partition("=")[0] for token in args}
+        # a flag on the command line, as --flag or --flag=value or a unique
+        # prefix of --flag as argparse reads it, leaves the variables of
+        # every member of its exclusive group unread
+        flags = {flag: action for action in self._actions for flag in action.option_strings}
+        given = set()
+        for token in args:
+            name = token.partition("=")[0]
+            hits = {flags[name]} if name in flags else {
+                action for flag, action in flags.items()
+                if name.startswith("--") and flag.startswith(name)}
+            if len(hits) == 1:
+                given.update(hits)
         skip = set()
         for group in self._mutually_exclusive_groups:
-            if any(given.intersection(a.option_strings) for a in group._group_actions):
+            if given.intersection(group._group_actions):
                 skip.update(group._group_actions)
         from_env = set()
         for action in self._actions:
@@ -398,7 +407,7 @@ def _fit_segment_models(x: Sequence, cp: ChangePoints, params: BctHyperParams):
     # caller builds its per-segment output (the stationary solve peaks there)
     fitted = []
     for view in partition(x, cp):
-        codes = np.concatenate([view.context, view.observations])
+        codes = x.full_codes()[view.start - 1 : view.end + x.depth]
         tree = CountTree.from_arrays(codes, params.depth, params)
         fitted.append((view, tree.map_model(with_params=True)))
     return fitted

@@ -1,17 +1,23 @@
 """Generation of piece-wise homogeneous variable-memory chains and
 stationary-distribution analysis of fitted tree models.
 
+Both run on the FSM closure of a segment's tree (`_closure`): the smallest
+refinement of the tree whose leaves, the states, know their successor on
+every symbol, so a chain moves from state to state by one table lookup per
+symbol. The closure is about as small as the tree, where the m^d context
+windows of a depth-d tree are not.
+
 Draw rule: the next symbol is the first j with theta_0 + ... + theta_j > u
 for a uniform u in [0, 1), capped at m - 1 (a row's cumulative sum can round
 below 1). A chain takes its uniforms from one `np.random.default_rng(seed)`
 stream, one double per symbol, in order. `generate_piecewise` draws them
 DRAW_CHUNK at a time with `rng.random(k)`, the same doubles as k scalar
-`rng.random()` calls, and finds each symbol's leaf by walking a nested dict
-of the segment's tree, built once per segment with each leaf's cumulative row
-in its place. `sample_next` applies the rule one step at a time; the tests
-check that a loop of it gives `generate_piecewise`'s output bit for bit.
+`rng.random()` calls, and bisects the cumulative row of the current closure
+state. `sample_next` applies the rule one step at a time by walking the
+tree; the tests check that a loop of it gives `generate_piecewise`'s output
+bit for bit.
 
-The stationary analysis solves the sparse context-window kernel with one
+The stationary analysis solves the closure's sparse kernel with one
 recurrent state's probability pinned to 1, by SuperLU (see
 `stationary_marginal`), so no dense matrix is formed and the result does not
 depend on the number of BLAS threads. scipy.sparse is imported inside it, its
@@ -30,9 +36,7 @@ import numpy as np
 from .sequences import Alphabet, Sequence
 from .trees import TreeModel, parse_context_string
 
-MAX_STATES = 1_000_000  # largest context state space stationary_marginal solves
-POWER_TOL = 1e-12  # max-norm step at which power iteration has converged
-POWER_MAX_ITER = 1_000_000
+MAX_STATES = 1_000_000  # largest FSM closure that _closure builds
 DRAW_CHUNK = 4096  # uniforms drawn at a time by generate_piecewise
 
 
@@ -115,39 +119,66 @@ def generate_piecewise(spec: PiecewiseSpec) -> tuple[Sequence, tuple[int, ...]]:
     rng = np.random.default_rng(spec.seed)
     history: list[int] = list(spec.initial_context)
     for seg in spec.segments:
-        tree = _cumulative_rows(seg.model, ())
-        last = seg.model.m - 1
+        states, leaves, succ = _closure(seg.model)
+        rows = [np.cumsum(seg.model.theta(s)).tolist() for s in leaves]
+        succ, last = succ.tolist(), seg.model.m - 1
+        # the state on the path of the history, which holds at least
+        # spec.depth >= model depth symbols
+        state = next(i for i, s in enumerate(states) if tuple(history[: -len(s) - 1 : -1]) == s)
         for start in range(0, seg.length, DRAW_CHUNK):
             for u in rng.random(min(DRAW_CHUNK, seg.length - start)).tolist():
-                # the history holds at least spec.depth >= model depth symbols
-                node, k = tree, len(history)
-                while type(node) is dict:
-                    k -= 1
-                    node = node[history[k]]
-                history.append(min(bisect.bisect_right(node, u), last))
+                symbol = min(bisect.bisect_right(rows[state], u), last)
+                history.append(symbol)
+                state = succ[state][symbol]
     seq = Sequence(spec.alphabet, spec.initial_context, history[spec.depth :])
     return seq, spec.change_points()
 
 
-def _cumulative_rows(model: TreeModel, s: tuple[int, ...]):
-    """The subtree of `model` below context `s` as nested dicts keyed by the
-    next older symbol, with each leaf's cumulative row (a list) in its place."""
-    if s in model.leaves:
-        return np.cumsum(model.theta(s)).tolist()
-    return {j: _cumulative_rows(model, s + (j,)) for j in range(model.m)}
+def _closure(model: TreeModel):
+    """FSM closure of the model's tree (Martin, Seroussi and Weinberger
+    2004): its smallest refinement whose leaves, the states, each know their
+    successor on every symbol. A leaf s is split into its m children while
+    some symbol a makes (a,) + s an internal node. Returns the states
+    (contexts, most recent symbol first, sorted), the model leaf whose theta
+    each state inherits, and the (S, m) table of successor state indices.
+    Raises NumericalError once the states outnumber MAX_STATES."""
+    m = model.m
+    inherits = {s: s for s in model.leaves}  # state -> model leaf
+    internal = {s[:k] for s in inherits for k in range(len(s))}
+    work = sorted(inherits)
+    while work:
+        s = work.pop()
+        if s in inherits and any((a,) + s in internal for a in range(m)):
+            internal.add(s)
+            leaf = inherits.pop(s)
+            inherits.update((s + (j,), leaf) for j in range(m))
+            if len(inherits) > MAX_STATES:
+                raise NumericalError(f"closure state space too large (over {MAX_STATES} states)")
+            # s is internal now, so the leaf s[1:] may need splitting too
+            work += [s + (j,) for j in range(m)] + [s[1:]]
+    states = sorted(inherits)
+    index = dict(zip(states, range(len(states))))
+
+    def state_of(context):
+        return next(index[context[:k]] for k in range(len(context) + 1) if context[:k] in index)
+
+    succ = np.array([[state_of((a,) + s) for a in range(m)] for s in states], dtype=np.int64)
+    return states, [inherits[s] for s in states], succ
 
 
 def stationary_marginal(model: TreeModel) -> np.ndarray:
     """First-order symbol marginal of the stationary law of a fitted model.
 
-    The chain runs on length-d context windows (d = deepest leaf), with a
-    sparse kernel P of m entries per row. Up to 4,096 states the balance
-    equations (I - P)^T pi = 0 are solved with pi_r = 1 for one state r of
-    the recurrent class: row and column r are deleted, column r becomes the
-    right-hand side, and SuperLU factors the nonsingular rest. Larger state
-    spaces use power iteration. Raises NumericalError when the kernel has no
-    unique stationary distribution, the state space exceeds the cap, the
-    factorisation fails, or the solution's residual is above 1e-9.
+    The chain runs on the states of the tree's FSM closure (`_closure`),
+    with a sparse kernel P of m entries per row. The balance equations
+    (I - P)^T pi = 0 are solved with pi_r = 1 for the state r of the
+    recurrent class that holds the most mass after 4 d power steps from the
+    uniform law (d = deepest leaf): row and column r are deleted, column r
+    becomes the right-hand side, and SuperLU factors the nonsingular rest.
+    The marginal sums pi over the states by their most recent symbol.
+    Raises NumericalError when the kernel has no unique stationary
+    distribution, the closure exceeds MAX_STATES, the factorisation fails,
+    or the solution's residual is above 1e-9.
     """
     import scipy.sparse as sparse
     from scipy.sparse.linalg import splu
@@ -157,64 +188,52 @@ def stationary_marginal(model: TreeModel) -> np.ndarray:
     m, d = model.m, model.depth
     if d == 0:
         return model.theta(()).copy()
-    n_states = m**d
-    if n_states > MAX_STATES:
-        raise NumericalError(f"context state space too large ({n_states} states)")
-
-    # state code: the window oldest first in base m, so the most recent
-    # symbol is the lowest digit and the states that leaf s selects are those
-    # whose len(s) lowest digits spell s
-    theta = np.empty((n_states, m))
-    for s in model.leaves:
-        k = len(s)
-        low = sum(c * m**i for i, c in enumerate(s))
-        theta.reshape(m ** (d - k), m**k, m)[:, low, :] = model.theta(s)
-    drop_oldest = np.arange(n_states) % (m ** (d - 1))
-    successors = np.stack([j + m * drop_oldest for j in range(m)], axis=1)
-
+    states, leaves, succ = _closure(model)
+    n_states = len(states)
+    theta = np.array([model.theta(s) for s in leaves])
     rows = np.repeat(np.arange(n_states), m)
-    cols = successors.ravel()
-    vals = theta.ravel()
-    kernel = sparse.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
+    kernel = sparse.csr_matrix((theta.ravel(), (rows, succ.ravel())), shape=(n_states,) * 2)
+    # I - P with each diagonal entry summed from its row's exits, as in the
+    # GTH algorithm (Grassmann, Taksar and Heyman 1985): 1 - P_ii cancels
+    # the digits that a self-loop near 1 needs, and on sparse-row models
+    # left 2e-9 where this leaves 1e-16 against an exact rational solve
+    exits = kernel - sparse.diags(kernel.diagonal())
+    balance = (sparse.diags(np.asarray(exits.sum(axis=1)).ravel()) - exits).tocsr()
 
-    r = _require_unique_recurrent_class(kernel)
+    # a pinned state of tiny mass scales every other entry by its inverse,
+    # and left the reduced system near-singular (residuals of 0.4-1.0)
+    recurrent = _recurrent_class(kernel)
+    pi = np.full(n_states, 1.0 / n_states)
+    for _ in range(4 * d):
+        pi = pi @ kernel
+    r = int(recurrent[np.argmax(pi[recurrent])])
 
-    if n_states <= 4096:
-        # pinning a recurrent state makes the reduced system nonsingular; a
-        # row of ones for the normalisation would instead be dense, and gave
-        # 1.5-1.7 times the entries in SuperLU's factors on random m = 4
-        # models. The right-hand side, minus column r of (I - P)^T, is row r
-        # of P.
-        keep = np.delete(np.arange(n_states), r)
-        reduced = (sparse.identity(n_states, format="csr") - kernel)[keep][:, keep]
-        try:
-            solved = splu(reduced.T).solve(kernel[[r]].toarray()[0, keep])
-        except RuntimeError as exc:
-            raise NumericalError(f"stationary solve failed: {exc}") from None
-        pi = np.clip(np.insert(solved, r, 1.0), 0.0, None)
-        pi /= pi.sum()
-    else:
-        pi = _power_iteration(kernel, n_states)
+    # pinning a recurrent state makes the reduced system nonsingular; a row
+    # of ones for the normalisation would instead be dense, and gave 1.5-1.7
+    # times the entries in SuperLU's factors on random m = 4 models. The
+    # right-hand side, minus column r of (I - P)^T, is row r of P.
+    keep = np.delete(np.arange(n_states), r)
+    reduced = balance[keep][:, keep]
+    try:
+        solved = splu(reduced.T).solve(kernel[[r]].toarray()[0, keep])
+    except RuntimeError as exc:
+        raise NumericalError(f"stationary solve failed: {exc}") from None
+    pi = np.clip(np.insert(solved, r, 1.0), 0.0, None)
+    pi /= pi.sum()
 
     residual = np.abs(pi @ kernel - pi).max()
     if residual > 1e-9:
         raise NumericalError(f"stationary solve residual {residual:.3e} too large")
-
-    marginal = np.zeros(m)
-    np.add.at(marginal, np.arange(n_states) % m, pi)
-    return marginal
+    return np.bincount([s[0] for s in states], weights=pi, minlength=m)
 
 
-def _require_unique_recurrent_class(kernel) -> int:
-    """Raise NumericalError unless the sparse kernel has exactly one
-    recurrent class, and return one state of it: the last state of that
-    class (the last state overall when the chain is irreducible)."""
+def _recurrent_class(kernel) -> np.ndarray:
+    """The states of the sparse kernel's one recurrent class, in increasing
+    order; raises NumericalError unless there is exactly one."""
     from scipy.sparse.csgraph import connected_components
 
     positive = kernel > 0
     n_comp, labels = connected_components(positive, connection="strong")
-    if n_comp == 1:
-        return kernel.shape[0] - 1
     # recurrent classes are the strongly connected components with no exits;
     # only positive-probability edges count, not stored zeros
     edges = positive.tocoo()
@@ -225,17 +244,7 @@ def _require_unique_recurrent_class(kernel) -> int:
             "the fitted chain has no unique stationary distribution "
             f"({recurrent.size} recurrent classes)"
         )
-    return int(np.flatnonzero(labels == recurrent[0])[-1])
-
-
-def _power_iteration(kernel, n_states):
-    pi = np.full(n_states, 1.0 / n_states)
-    for _ in range(POWER_MAX_ITER):
-        new = pi @ kernel
-        if np.abs(new - pi).max() <= POWER_TOL:
-            return new
-        pi = new
-    raise NumericalError("power iteration did not converge")
+    return np.flatnonzero(labels == recurrent[0])
 
 
 # ----------------------------------------------------------- spec (de)serialisation
@@ -306,50 +315,16 @@ def ternary_benchmark_spec(seed: int = 1, depth: int = 10) -> PiecewiseSpec:
     """Four-regime ternary benchmark with change-points at 2500, 3500 and
     4000 (total length 4300). The four generating models are deliberately
     similar, so recovering the segmentation is a nontrivial exercise."""
+    tables = (
+        {"0": [0.3, 0.4, 0.3], "2": [0.5, 0.3, 0.2], "10": [0.2, 0.5, 0.3],
+         "11": [0.1, 0.4, 0.5], "121": [0.7, 0.2, 0.1], "122": [0.4, 0.2, 0.4],
+         "1200": [0.6, 0.1, 0.3], "1201": [0.3, 0.5, 0.2], "1202": [0.4, 0.1, 0.5]},
+        {"0": [0.4, 0.5, 0.1], "2": [0.4, 0.4, 0.2], "10": [0.4, 0.2, 0.4],
+         "11": [0.2, 0.4, 0.4], "12": [0.6, 0.1, 0.3]},
+        {"0": [0.5, 0.3, 0.2], "1": [0.3, 0.6, 0.1], "2": [0.3, 0.2, 0.5]},
+        {"": [0.4, 0.2, 0.4]},
+    )
     alphabet = Alphabet.of_size(3)
-
-    model1 = model_from_table(
-        alphabet,
-        {
-            "0": [0.3, 0.4, 0.3],
-            "2": [0.5, 0.3, 0.2],
-            "10": [0.2, 0.5, 0.3],
-            "11": [0.1, 0.4, 0.5],
-            "121": [0.7, 0.2, 0.1],
-            "122": [0.4, 0.2, 0.4],
-            "1200": [0.6, 0.1, 0.3],
-            "1201": [0.3, 0.5, 0.2],
-            "1202": [0.4, 0.1, 0.5],
-        },
-    )
-    model2 = model_from_table(
-        alphabet,
-        {
-            "0": [0.4, 0.5, 0.1],
-            "2": [0.4, 0.4, 0.2],
-            "10": [0.4, 0.2, 0.4],
-            "11": [0.2, 0.4, 0.4],
-            "12": [0.6, 0.1, 0.3],
-        },
-    )
-    model3 = model_from_table(
-        alphabet,
-        {
-            "0": [0.5, 0.3, 0.2],
-            "1": [0.3, 0.6, 0.1],
-            "2": [0.3, 0.2, 0.5],
-        },
-    )
-    model4 = model_from_table(alphabet, {"": [0.4, 0.2, 0.4]})
-
-    return PiecewiseSpec(
-        alphabet=alphabet,
-        depth=depth,
-        segments=(
-            SegmentSpec(model1, 2499),
-            SegmentSpec(model2, 1000),
-            SegmentSpec(model3, 500),
-            SegmentSpec(model4, 301),
-        ),
-        seed=seed,
-    )
+    segments = tuple(SegmentSpec(model_from_table(alphabet, table), length)
+                     for table, length in zip(tables, (2499, 1000, 500, 301)))
+    return PiecewiseSpec(alphabet=alphabet, depth=depth, segments=segments, seed=seed)

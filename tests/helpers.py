@@ -7,6 +7,7 @@ against a separate code path.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
@@ -130,6 +131,35 @@ def solve_stationary_dense(P: np.ndarray) -> np.ndarray:
         pi, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def exact_stationary_marginal(model) -> np.ndarray:
+    """First-order symbol marginal of the window chain's stationary law, by
+    Gauss-Jordan elimination in exact rational arithmetic, with each leaf's
+    row first scaled to sum to 1 exactly: the slow path for ill-conditioned
+    chains. Float rows sum to 1 only within rounding, which leaves the
+    balance equations of such a chain inconsistent (by 2e-9 on one sparse-row
+    model), so this answer belongs to the stochastic chain the rows stand
+    for. The chain must have one recurrent class."""
+    m = model.m
+    if model.depth == 0:
+        return model.theta(()).copy()
+    P = [[Fraction(v) for v in row] for row in window_kernel(model)]
+    n = len(P)
+    totals = [sum(row) for row in P]
+    # the balance equations with the last replaced by sum(pi) = 1, each with
+    # its right-hand side as a last column
+    A = [[P[j][i] / totals[j] - (i == j) for j in range(n)] + [0] for i in range(n - 1)]
+    A.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c])
+        A[c], A[p] = A[p], A[c]
+        for r in range(n):
+            if r != c and A[r][c]:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    pi = [row[n] / row[c] for c, row in enumerate(A)]
+    return np.array([float(sum(pi[a::m])) for a in range(m)])
 
 
 def dense_stationary_marginal(model) -> np.ndarray:

@@ -380,7 +380,7 @@ class TestStationary:
         assert np.allclose(marg, b.stationary_marginal(model), atol=1e-12)
 
     def test_failed_factorisation_exits_4(self, tmp_path, capsys, monkeypatch):
-        # a noisy alternating series fits a depth-2 model, whose window
+        # a noisy alternating series fits a depth-2 model, whose closure
         # kernel is solved by splu
         rng = np.random.default_rng(3)
         bits = (np.arange(80) % 2) ^ (rng.random(80) < 0.1)
@@ -398,6 +398,25 @@ class TestStationary:
         assert calls == [(3, 3)]
         assert _error_lines(capsys) == 1
         assert not (out / "stationary.json").exists()
+
+    def test_long_series_of_a_model_with_a_rare_state(self, tmp_path):
+        # 100,000 symbols of a depth-5 caterpillar whose leaf (3,) draws 3
+        # with probability 1.06e-4: pinning the all-3 state, of mass about
+        # 3e-19 in the fitted model, exited 4 with a residual of 1.0
+        leaves = [(0,) * r + (y,) for r in range(5) for y in (1, 2, 3)] + [(0,) * 5]
+        rng = np.random.default_rng(0)
+        table = {"".join(map(str, s)): rng.dirichlet(np.ones(4)).tolist() for s in leaves}
+        spec = {"alphabet": list("0123"), "D": 5, "seed": 3,
+                "segments": [{"contexts": table, "length": 100_000}]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "gen") == 0
+        out = tmp_path / "run"
+        series = tmp_path / "gen" / "sequence.txt"
+        assert run_cli("stationary", series, "--depth", 5, "--alphabet", "0123",
+                       "--out", out) == 0
+        marg = json.loads((out / "stationary.json").read_text())["segments"][0]["marginal"]
+        assert math.fsum(marg) == pytest.approx(1.0, abs=1e-12)
 
     def test_segment_marginals_differ(self, toy_fasta, tmp_path):
         out = tmp_path / "run"
@@ -650,13 +669,16 @@ class TestErrors:
     @pytest.mark.parametrize(
         "variable, flag, mode",
         [("BCTSEG_LMAX", ["--num-changes", "2"], "fixed"),
-         ("BCTSEG_NUM_CHANGES", ["--lmax=2"], "variable")],
+         ("BCTSEG_NUM_CHANGES", ["--lmax=2"], "variable"),
+         ("BCTSEG_LMAX", ["--num", "2"], "fixed"),
+         ("BCTSEG_NUM_CHANGES", ["--lm=2"], "variable")],
     )
     def test_flag_beats_env_value_of_its_group(
         self, toy_binary, tmp_path, monkeypatch, variable, flag, mode
     ):
-        # a flag of the --lmax/--num-changes group on the command line keeps
-        # the variable of the other member from setting it as well
+        # a flag of the --lmax/--num-changes group on the command line, or
+        # a prefix of one that argparse expands, keeps the variable of the
+        # other member from setting it as well
         monkeypatch.setenv(variable, "1")
         out = tmp_path / "run"
         args = ["segment", toy_binary, "--depth", 2, *flag, "--iters", 50, "--burnin", 10]
