@@ -1,4 +1,4 @@
-"""Change-point configurations, their priors, and cached joint evidence.
+"""Change-point configurations, their priors, and per-series evidence.
 
 A configuration of ell interior change-points for a length-n series is the
 sorted vector p_1 < ... < p_ell with each p_i in {2,..,n-1}; the sentinels
@@ -6,6 +6,10 @@ p_0 = 1 and p_{ell+1} = n are implicit. Segment j runs from p_{j-1} up to
 p_j - 1 (the last segment ends at n), and each segment's initial context is
 the D symbols immediately preceding it, reaching into the previous segment or
 the global initial context.
+
+`EvidenceCache(x, params)` serves the log evidence of any segment of one
+series under one set of hyperparameters; the joint evidence and the
+unnormalised posterior of a configuration are sums over its segments.
 """
 
 from __future__ import annotations
@@ -170,18 +174,24 @@ def log_prior_count(ell: int, ell_max: int) -> float:
 
 
 class EvidenceCache:
-    """LRU cache of per-segment log evidence values keyed by (start, end).
+    """Per-segment log evidence of one series under one set of
+    hyperparameters, kept in an LRU store keyed by (start, end).
 
-    Keys assume one series, fixed depth and fixed hyperparameters for the
-    lifetime of the cache; use a new cache whenever those change. A local
-    move alters at most two segments, so nearly every factor of the joint
-    evidence is a cache hit. The cache also holds up to two evidence rows,
-    of n floats each, that serve the misses on segments at the series ends.
+    A local move alters at most two segments, so nearly every factor of the
+    joint evidence is a hit. A miss on a segment that starts at 1 or ends at
+    n is read off the forward or reverse evidence row of the whole series
+    (n floats each, built at the first such miss); any other segment is
+    counted afresh. Both give the same value bit for bit.
     """
 
-    def __init__(self):
+    def __init__(self, x: Sequence, params: BctHyperParams):
+        if x.depth != params.depth:
+            raise ValueError("sequence context length must equal params.depth")
+        self._codes = x.full_codes()
+        self._n = x.n
+        self._params = params
         self._store: OrderedDict[tuple[int, int], float] = OrderedDict()
-        self._rows: dict[bool, object] = {}
+        self._rows: dict[bool, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -204,13 +214,22 @@ class EvidenceCache:
         while len(store) > CACHE_CAPACITY:
             store.popitem(last=False)
 
-    def row(self, codes: np.ndarray, params: BctHyperParams, reverse: bool):
-        """`evidence_row(codes, params, reverse)` of the whole series, built
-        on the first call for each direction."""
-        row = self._rows.get(reverse)
-        if row is None:
-            row = self._rows[reverse] = evidence_row(codes, params, reverse)
-        return row
+    def span(self, start: int, end: int) -> float:
+        """Log evidence of observations start..end (1-based, inclusive)."""
+        key = (start, end)
+        value = self.lookup(key)
+        if value is None:
+            params = self._params
+            if start == 1 or end == self._n:
+                reverse = start != 1
+                row = self._rows.get(reverse)
+                if row is None:
+                    row = self._rows[reverse] = evidence_row(self._codes, params, reverse)
+                value = row[start - 1 if reverse else end - 1]
+            else:
+                value = span_log_evidence(self._codes[start - 1 : params.depth + end], params)
+            self.store(key, value)
+        return value
 
     @property
     def stats(self) -> dict:
@@ -222,47 +241,16 @@ class EvidenceCache:
         }
 
 
-def log_joint_evidence(
-    x: Sequence,
-    cp: ChangePoints,
-    params: BctHyperParams,
-    cache: EvidenceCache | None = None,
-) -> float:
-    """Sum of per-segment log evidences, fetched from the cache when present.
-
-    A cache miss on a segment that starts at 1 or ends at n is read off the
-    cache's forward or reverse evidence row of the whole series; any other
-    segment is counted afresh. Both give the same value bit for bit.
-    """
-    if x.depth != params.depth:
-        raise ValueError("sequence context length must equal params.depth")
-    y = x.full_codes()
-    D = params.depth
+def log_joint_evidence(cp: ChangePoints, evidence: EvidenceCache) -> float:
+    """Sum of the per-segment log evidences, in segment order."""
     total = 0.0
     for start, end in segment_spans(cp):
-        if cache is None:
-            total += span_log_evidence(y[start - 1 : D + end], params)
-            continue
-        key = (start, end)
-        value = cache.lookup(key)
-        if value is None:
-            if start == 1:
-                value = cache.row(y, params, reverse=False)[end - 1]
-            elif end == cp.n:
-                value = cache.row(y, params, reverse=True)[start - 1]
-            else:
-                value = span_log_evidence(y[start - 1 : D + end], params)
-            cache.store(key, value)
-        total += value
+        total += evidence.span(start, end)
     return total
 
 
 def log_posterior_unnorm(
-    x: Sequence,
-    cp: ChangePoints,
-    params: BctHyperParams,
-    cache: EvidenceCache | None = None,
-    ell_max: int | None = None,
+    cp: ChangePoints, evidence: EvidenceCache, ell_max: int | None = None
 ) -> float:
     """Unnormalised log posterior of (positions[, count]); -inf propagates.
 
@@ -275,7 +263,7 @@ def log_posterior_unnorm(
         return NEG_INF
     if ell_max is not None:
         lp += log_prior_count(cp.ell, ell_max)
-    return lp + log_joint_evidence(x, cp, params, cache)
+    return lp + log_joint_evidence(cp, evidence)
 
 
 def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray:
@@ -284,19 +272,24 @@ def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray
     Returns the probability vector over p in {2,..,n-1} (index 0 holds p=2).
     Positions with zero prior weight come out exactly zero. Feasible because
     the single-change-point evidence factorises into just two segments per
-    candidate position. Each of those segments occurs for one position only,
-    so no evidence value is cached. Both gaps around the change-point must
-    be at least 1, so below five observations no position has prior mass.
+    candidate position, 1..p-1 and p..n. Each of those segments occurs for
+    one position only, so both are counted afresh and no evidence value is
+    cached. Both gaps around the change-point must be at least 1, so below
+    five observations no position has prior mass.
     """
+    if x.depth != params.depth:
+        raise ValueError("sequence context length must equal params.depth")
     n = x.n
     if n < 5:
         raise ValueError("need at least five observations")
+    y, D = x.full_codes(), params.depth
     logs = np.full(n - 2, NEG_INF)
     for p in range(2, n):
-        cp = ChangePoints(n, (p,))
-        lp = log_prior_positions(cp)
+        lp = log_prior_positions(ChangePoints(n, (p,)))
         if lp == NEG_INF:
             continue
-        logs[p - 2] = lp + log_joint_evidence(x, cp, params)
+        logs[p - 2] = lp + (
+            span_log_evidence(y[: D + p - 1], params) + span_log_evidence(y[p - 1 : D + n], params)
+        )
     norm = logsumexp(logs)
     return np.exp(logs - norm)

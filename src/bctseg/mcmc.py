@@ -78,7 +78,7 @@ class Trace:
     States are kept as position tuples unless the retained-sample estimate
     exceeds the streaming limit, in which case only the histograms are
     maintained. The best-scoring visited state is always tracked, and `run`
-    leaves the evidence cache's final `stats` in `cache_stats`.
+    leaves the final `stats` of the chain's `EvidenceCache` in `cache_stats`.
     """
 
     def __init__(self, n: int, ell_cap: int, store_states: bool = True):
@@ -254,9 +254,7 @@ def log_move_correction(ell: int, ell_new: int, n: int, ell_max: int) -> float:
 def log_accept_ratio(
     current: ChangePoints,
     candidate: ChangePoints,
-    x: Sequence,
-    params: BctHyperParams,
-    cache: EvidenceCache,
+    evidence: EvidenceCache,
     ell_max: int | None,
 ) -> float:
     """Log Metropolis-Hastings ratio of a move from `current` to `candidate`:
@@ -274,8 +272,8 @@ def log_accept_ratio(
     return (
         new_gaps
         - log_gap_product(current)
-        + log_joint_evidence(x, candidate, params, cache)
-        - log_joint_evidence(x, current, params, cache)
+        + log_joint_evidence(candidate, evidence)
+        - log_joint_evidence(current, evidence)
         + log_move_correction(current.ell, candidate.ell, current.n, ell_max)
     )
 
@@ -311,9 +309,7 @@ def initial_state(x: Sequence, config: McmcConfig) -> ChangePoints:
 
 def run(x: Sequence, config: McmcConfig) -> Trace:
     """Run one chain and return its trace. Deterministic given the seed."""
-    params = config.hyper(x.alphabet.size)
-    if x.depth != params.depth:
-        raise ValueError("sequence context length must equal the configured depth")
+    evidence = EvidenceCache(x, config.hyper(x.alphabet.size))
     n = x.n
     cap = config.num_changes if config.fixed_mode else config.ell_max
     if cap > (n - 3) // 2:
@@ -322,11 +318,10 @@ def run(x: Sequence, config: McmcConfig) -> Trace:
         raise ValueError("the unknown-count chain needs at least five observations")
 
     rng = np.random.default_rng(config.seed)
-    cache = EvidenceCache()
     ell_max = config.ell_max
 
     state = initial_state(x, config)
-    log_post = log_posterior_unnorm(x, state, params, cache, ell_max)
+    log_post = log_posterior_unnorm(state, evidence, ell_max)
     if log_post == NEG_INF:
         raise ValueError("initial state has zero prior probability")
 
@@ -341,17 +336,17 @@ def run(x: Sequence, config: McmcConfig) -> Trace:
         else:
             candidate, move = propose_variable(state, ell_max, rng)
         trace.proposed[move] = trace.proposed.get(move, 0) + 1
-        log_r = log_accept_ratio(state, candidate, x, params, cache, ell_max)
+        log_r = log_accept_ratio(state, candidate, evidence, ell_max)
         # one accept coin per iteration, drawn even when the move is certain
         u = rng.random()
         if log_r >= 0 or u < math.exp(log_r):
             state = candidate
             trace.accepted[move] = trace.accepted.get(move, 0) + 1
-            log_post = log_posterior_unnorm(x, state, params, cache, ell_max)
+            log_post = log_posterior_unnorm(state, evidence, ell_max)
             trace.note_score(state, log_post)
         if t >= config.burn_in and (t - config.burn_in) % config.thinning == 0:
             trace.record(t, state)
-    trace.cache_stats = cache.stats
+    trace.cache_stats = evidence.stats
     return trace
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 import bctseg as b
+from bctseg.trees import span_log_evidence
 
 
 def kt_log_prob_product(counts) -> float:
@@ -73,12 +74,28 @@ def all_configs(n: int, ell_max: int):
     return configs
 
 
+def reference_log_posterior(x, cp, params, ell_max=None) -> float:
+    """Unnormalised log posterior of `cp` by definition: the location prior,
+    the count prior when `ell_max` is given, and one batch evidence build per
+    segment, with no cache and no evidence rows."""
+    lp = b.log_prior_positions(cp)
+    if lp == -math.inf:
+        return lp
+    if ell_max is not None:
+        lp += b.log_prior_count(cp.ell, ell_max)
+    y, D = x.full_codes(), params.depth
+    evidence = 0.0
+    for start, end in b.segment_spans(cp):
+        evidence += span_log_evidence(y[start - 1 : D + end], params)
+    return lp + evidence
+
+
 def exhaustive_joint_posterior(x, params, ell_max):
     """Normalised posterior over all (count, locations) configurations."""
     configs = all_configs(x.n, ell_max)
     logs = np.array(
         [
-            b.log_posterior_unnorm(x, b.ChangePoints(x.n, pos), params, ell_max=ell_max)
+            reference_log_posterior(x, b.ChangePoints(x.n, pos), params, ell_max)
             for pos in configs
         ]
     )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,7 @@ from scipy.special import logsumexp
 import bctseg as b
 from bctseg import BctHyperParams, ChangePoints, EvidenceCache, changepoints
 
-from helpers import total_variation
+from helpers import reference_log_posterior, total_variation
 
 
 def make_seq(raw, depth, m=2):
@@ -132,17 +133,17 @@ class TestCountPrior:
 
 
 class TestEvidenceCache:
-    def test_hits_and_misses(self, monkeypatch):
+    def test_hits_and_misses(self, switch_sequence, monkeypatch):
         monkeypatch.setattr(changepoints, "CACHE_CAPACITY", 10)
-        cache = EvidenceCache()
+        cache = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
         assert cache.lookup((1, 5)) is None
         cache.store((1, 5), -3.0)
         assert cache.lookup((1, 5)) == -3.0
         assert cache.stats == {"hits": 1, "misses": 1, "entries": 1, "rows": 0}
 
-    def test_lru_eviction(self, monkeypatch):
+    def test_lru_eviction(self, switch_sequence, monkeypatch):
         monkeypatch.setattr(changepoints, "CACHE_CAPACITY", 2)
-        cache = EvidenceCache()
+        cache = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
         cache.store((1, 1), 1.0)
         cache.store((2, 2), 2.0)
         cache.lookup((1, 1))        # refresh (1,1); (2,2) is now oldest
@@ -152,19 +153,33 @@ class TestEvidenceCache:
 
     def test_cached_equals_fresh_recompute(self, switch_sequence):
         params = BctHyperParams(2, 1)
-        cache = EvidenceCache()
+        cache = EvidenceCache(switch_sequence, params)
         cp = ChangePoints(switch_sequence.n, (9,))
-        first = b.log_joint_evidence(switch_sequence, cp, params, cache)
-        again = b.log_joint_evidence(switch_sequence, cp, params, cache)
-        bare = b.log_joint_evidence(switch_sequence, cp, params, None)
+        first = b.log_posterior_unnorm(cp, cache)
+        again = b.log_posterior_unnorm(cp, cache)
+        bare = reference_log_posterior(switch_sequence, cp, params)
         assert first == again == bare
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    @pytest.mark.parametrize("build", ["engine", "exact", "run"])
+    def test_depth_mismatch_rejected(self, switch_sequence, build):
+        # the series carries one context symbol; the model asks for two
+        params = BctHyperParams(2, 2)
+        with pytest.raises(ValueError, match="context length"):
+            if build == "engine":
+                EvidenceCache(switch_sequence, params)
+            elif build == "exact":
+                b.exact_single_cp_posterior(switch_sequence, params)
+            else:
+                b.run(switch_sequence, b.McmcConfig(10, 0, seed=1, depth=2, num_changes=1))
 
 
 class TestJointEvidence:
     def test_single_segment_is_plain_evidence(self, switch_sequence):
         params = BctHyperParams(2, 1)
         cp = ChangePoints(switch_sequence.n)
-        assert b.log_joint_evidence(switch_sequence, cp, params) == pytest.approx(
+        evidence = EvidenceCache(switch_sequence, params)
+        assert b.log_joint_evidence(cp, evidence) == pytest.approx(
             b.CountTree.from_sequence(switch_sequence, params).log_evidence(), abs=1e-14
         )
 
@@ -174,7 +189,7 @@ class TestJointEvidence:
         x = make_seq(raw, 2)
         params = BctHyperParams(2, 2)
         cp = ChangePoints(30, (11,))
-        joint = b.log_joint_evidence(x, cp, params)
+        joint = b.log_joint_evidence(cp, EvidenceCache(x, params))
         parts = 0.0
         for view in b.partition(x, cp):
             seg = b.Sequence(x.alphabet, view.context, view.observations)
@@ -186,15 +201,14 @@ class TestJointEvidence:
         raw = rng.integers(0, 2, size=42)
         x = make_seq(raw, 2)
         params = BctHyperParams(2, 2)
-        cache = EvidenceCache()
+        cache = EvidenceCache(x, params)
         for _ in range(60):
             ell = int(rng.integers(0, 4))
             pos = sorted(rng.choice(np.arange(2, 40), size=ell, replace=False))
             cp = ChangePoints(40, pos)
-            with_cache = b.log_posterior_unnorm(x, cp, params, cache, ell_max=5)
-            without = b.log_posterior_unnorm(x, cp, params, None, ell_max=5)
+            with_cache = b.log_posterior_unnorm(cp, cache, ell_max=5)
+            without = reference_log_posterior(x, cp, params, ell_max=5)
             assert with_cache == without
-
 
     def test_rows_serve_both_ends_exactly(self, ternary_alphabet):
         rng = np.random.default_rng(23)
@@ -202,13 +216,13 @@ class TestJointEvidence:
         raw[100:] = (raw[100:] + 1) % 3
         x = b.split_context(raw, 5, ternary_alphabet)
         params = BctHyperParams(3, 5)
-        cache = EvidenceCache()
+        cache = EvidenceCache(x, params)
         for _ in range(80):
             ell = int(rng.integers(0, 4))
             pos = sorted(rng.choice(np.arange(2, x.n), size=ell, replace=False))
             cp = ChangePoints(x.n, pos)
-            with_cache = b.log_posterior_unnorm(x, cp, params, cache, ell_max=5)
-            without = b.log_posterior_unnorm(x, cp, params, None, ell_max=5)
+            with_cache = b.log_posterior_unnorm(cp, cache, ell_max=5)
+            without = reference_log_posterior(x, cp, params, ell_max=5)
             assert with_cache == without
         # the segment (1, n) and every first segment come off the forward row
         assert cache.stats["rows"] == 2
@@ -218,14 +232,15 @@ class TestLogPosteriorUnnorm:
     def test_count_term_is_the_only_difference(self, switch_sequence):
         params = BctHyperParams(2, 1)
         cp = ChangePoints(switch_sequence.n, (9,))
-        fixed = b.log_posterior_unnorm(switch_sequence, cp, params)
-        variable = b.log_posterior_unnorm(switch_sequence, cp, params, ell_max=4)
+        evidence = EvidenceCache(switch_sequence, params)
+        fixed = b.log_posterior_unnorm(cp, evidence)
+        variable = b.log_posterior_unnorm(cp, evidence, ell_max=4)
         assert variable - fixed == pytest.approx(math.log(1 / 5), abs=1e-12)
 
     def test_adjacent_is_minus_inf(self, switch_sequence):
         cp = ChangePoints(switch_sequence.n, (9, 10))
-        params = BctHyperParams(2, 1)
-        assert b.log_posterior_unnorm(switch_sequence, cp, params) == -math.inf
+        evidence = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
+        assert b.log_posterior_unnorm(cp, evidence) == -math.inf
 
 
 class TestExactSingleCp:
@@ -244,7 +259,7 @@ class TestExactSingleCp:
         n = switch_sequence.n
         logs = np.full(n - 2, -math.inf)
         for p in range(2, n):
-            logs[p - 2] = b.log_posterior_unnorm(
+            logs[p - 2] = reference_log_posterior(
                 switch_sequence, ChangePoints(n, (p,)), params
             )
         ref = np.exp(logs - logsumexp(logs))
@@ -281,3 +296,26 @@ class TestExactSingleCp:
         x = make_seq([0, 1, 0], 1)
         with pytest.raises(ValueError):
             b.exact_single_cp_posterior(x, BctHyperParams(2, 1))
+
+    # Pinned digests of the posterior's bytes, taken before any change to how
+    # it is computed: a faster path must keep every bit. The scores are
+    # normalised by scipy's logsumexp; on both inputs the formula of scipy
+    # 1.10 (log of the shifted sum) gives the same bytes as that of 1.17.
+    @pytest.mark.parametrize(
+        "data, digest",
+        [
+            ("switch", "f250da18350bea549760eb8661890bf5492a1a426e126fae29a961f0d0530142"),
+            ("dna", "6195db0ed4d7760d8bc519ff4e4b457606c9e70e08e13051c95a8d9490c51f23"),
+        ],
+    )
+    def test_matches_pinned_digest(self, switch_sequence, data, digest):
+        if data == "switch":
+            x, params = switch_sequence, BctHyperParams(2, 1)
+        else:
+            # seeded DNA, n = 300 at depth 10, with a switch after 180 symbols
+            rng = np.random.default_rng(31)
+            raw = rng.choice(4, size=310, p=[0.4, 0.3, 0.2, 0.1])
+            raw[190:] = (raw[190:] + 2) % 4
+            x, params = make_seq(raw, 10, m=4), BctHyperParams(4, 10)
+        post = b.exact_single_cp_posterior(x, params)
+        assert hashlib.sha256(post.tobytes()).hexdigest() == digest

@@ -10,7 +10,7 @@ import bctseg as b
 from bctseg import cli, mcmc
 from bctseg.cli import main
 
-from helpers import total_variation
+from helpers import reference_log_posterior, total_variation
 
 
 @pytest.fixture
@@ -192,7 +192,7 @@ class TestSegment:
             assert set(best) == {"positions", "log_posterior"}
             cp = b.ChangePoints(x.n, best["positions"])
             # no cache: the recorded score is the state's full rescore
-            assert best["log_posterior"] == b.log_posterior_unnorm(x, cp, params, ell_max=2)
+            assert best["log_posterior"] == reference_log_posterior(x, cp, params, ell_max=2)
 
     def test_streaming_mode_writes_summary_without_trace(
         self, toy_binary, tmp_path, monkeypatch, capsys

@@ -97,12 +97,11 @@ class TestAcceptFixed:
     def setup_method(self):
         raw = [0] * 9 + [1] * 9 + [0, 1]
         self.x = b.split_context(np.asarray(raw), 1, b.Alphabet.of_size(2))
-        self.params = BctHyperParams(2, 1)
-        self.cache = EvidenceCache()
+        self.evidence = EvidenceCache(self.x, BctHyperParams(2, 1))
 
     def test_same_state_always_accepted(self):
         cp = ChangePoints(self.x.n, (9,))
-        log_r = b.log_accept_ratio(cp, cp, self.x, self.params, self.cache, None)
+        log_r = b.log_accept_ratio(cp, cp, self.evidence, None)
         assert log_r == 0.0
         rng = np.random.default_rng(0)
         assert all(accepts(log_r, rng.random()) for _ in range(20))
@@ -110,7 +109,7 @@ class TestAcceptFixed:
     def test_zero_prior_candidate_always_rejected(self):
         cp = ChangePoints(self.x.n, (9,))
         bad = ChangePoints(self.x.n, (2,))  # first gap weight is zero
-        log_r = b.log_accept_ratio(cp, bad, self.x, self.params, self.cache, None)
+        log_r = b.log_accept_ratio(cp, bad, self.evidence, None)
         assert log_r == -math.inf
         for seed in range(20):
             assert not accepts(log_r, np.random.default_rng(seed).random())
@@ -188,18 +187,14 @@ class TestMoveCorrection:
 
     def test_within_ratio_has_no_correction_term(self, switch_sequence):
         # a within-count candidate's ratio is evidence + gap terms only
-        params = BctHyperParams(2, 1)
-        cache = EvidenceCache()
+        evidence = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
         cur = ChangePoints(switch_sequence.n, (9,))
         cand = ChangePoints(switch_sequence.n, (12,))
-        got = b.log_accept_ratio(cur, cand, switch_sequence, params, cache, 3)
-        manual = (
-            b.log_posterior_unnorm(switch_sequence, cand, params, cache)
-            - b.log_posterior_unnorm(switch_sequence, cur, params, cache)
-        )
+        got = b.log_accept_ratio(cur, cand, evidence, 3)
+        manual = b.log_posterior_unnorm(cand, evidence) - b.log_posterior_unnorm(cur, evidence)
         assert got == pytest.approx(manual, abs=1e-12)
         # the known-count chain uses the same ratio, with no count cap
-        fixed = b.log_accept_ratio(cur, cand, switch_sequence, params, cache, None)
+        fixed = b.log_accept_ratio(cur, cand, evidence, None)
         assert fixed == got
 
 
@@ -238,10 +233,10 @@ class TestRun:
     def test_visited_states_have_finite_posterior(self, switch_sequence):
         cfg = McmcConfig(iterations=5000, burn_in=0, seed=3, depth=1, ell_max=3)
         trace = b.run(switch_sequence, cfg)
-        params, cache = BctHyperParams(2, 1), EvidenceCache()
+        evidence = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
         for pos in set(trace.states):
             cp = ChangePoints(switch_sequence.n, pos)
-            assert b.log_posterior_unnorm(switch_sequence, cp, params, cache, 3) > -math.inf
+            assert b.log_posterior_unnorm(cp, evidence, 3) > -math.inf
         assert trace.best_log_post > -math.inf
 
     # Pinned digests of reference traces in both modes: any change to the
