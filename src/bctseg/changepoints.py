@@ -111,23 +111,20 @@ def segment_spans(cp: ChangePoints) -> list[tuple[int, int]]:
     return spans
 
 
-def partition(x: Sequence, cp: ChangePoints) -> list[SegmentView]:
-    """Split the observations into the ell+1 segments defined by `cp`."""
+def _check_length(cp: ChangePoints, x: Sequence) -> None:
     if cp.n != x.n:
         raise ValueError("change-points were built for a different series length")
-    D = x.depth
-    y = x.full_codes()
+
+
+def partition(x: Sequence, cp: ChangePoints) -> list[SegmentView]:
+    """Split the observations into the ell+1 segments defined by `cp`; each
+    view's context and observations are `x.segment_codes(start, end)` cut
+    after its first `x.depth` symbols."""
+    _check_length(cp, x)
     views = []
     for j, (start, end) in enumerate(segment_spans(cp), start=1):
-        views.append(
-            SegmentView(
-                index=j,
-                start=start,
-                end=end,
-                context=y[start - 1 : start - 1 + D],
-                observations=y[D + start - 1 : D + end],
-            )
-        )
+        codes = x.segment_codes(start, end)
+        views.append(SegmentView(j, start, end, codes[: x.depth], codes[x.depth :]))
     return views
 
 
@@ -174,21 +171,21 @@ def log_prior_count(ell: int, ell_max: int) -> float:
 
 
 class EvidenceCache:
-    """Per-segment log evidence of one series under one set of
+    """Per-segment log evidence of the series `x` under one set of
     hyperparameters, kept in an LRU store keyed by (start, end).
 
     A local move alters at most two segments, so nearly every factor of the
     joint evidence is a hit. A miss on a segment that starts at 1 or ends at
     n is read off the forward or reverse evidence row of the whole series
-    (n floats each, built at the first such miss); any other segment is
-    counted afresh. Both give the same value bit for bit.
+    (n floats each, built from `x.full_codes()` at the first such miss); any
+    other segment is counted afresh from `x.segment_codes(start, end)`. Both
+    give the same value bit for bit.
     """
 
     def __init__(self, x: Sequence, params: BctHyperParams):
         if x.depth != params.depth:
             raise ValueError("sequence context length must equal params.depth")
-        self._codes = x.full_codes()
-        self._n = x.n
+        self.x = x
         self._params = params
         self._store: OrderedDict[tuple[int, int], float] = OrderedDict()
         self._rows: dict[bool, np.ndarray] = {}
@@ -219,15 +216,15 @@ class EvidenceCache:
         key = (start, end)
         value = self.lookup(key)
         if value is None:
-            params = self._params
-            if start == 1 or end == self._n:
+            x, params = self.x, self._params
+            if start == 1 or end == x.n:
                 reverse = start != 1
                 row = self._rows.get(reverse)
                 if row is None:
-                    row = self._rows[reverse] = evidence_row(self._codes, params, reverse)
+                    row = self._rows[reverse] = evidence_row(x.full_codes(), params, reverse)
                 value = row[start - 1 if reverse else end - 1]
             else:
-                value = span_log_evidence(self._codes[start - 1 : params.depth + end], params)
+                value = span_log_evidence(x.segment_codes(start, end), params)
             self.store(key, value)
         return value
 
@@ -243,6 +240,7 @@ class EvidenceCache:
 
 def log_joint_evidence(cp: ChangePoints, evidence: EvidenceCache) -> float:
     """Sum of the per-segment log evidences, in segment order."""
+    _check_length(cp, evidence.x)
     total = 0.0
     for start, end in segment_spans(cp):
         total += evidence.span(start, end)
@@ -282,14 +280,14 @@ def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray
     n = x.n
     if n < 5:
         raise ValueError("need at least five observations")
-    y, D = x.full_codes(), params.depth
     logs = np.full(n - 2, NEG_INF)
     for p in range(2, n):
         lp = log_prior_positions(ChangePoints(n, (p,)))
         if lp == NEG_INF:
             continue
         logs[p - 2] = lp + (
-            span_log_evidence(y[: D + p - 1], params) + span_log_evidence(y[p - 1 : D + n], params)
+            span_log_evidence(x.segment_codes(1, p - 1), params)
+            + span_log_evidence(x.segment_codes(p, n), params)
         )
     norm = logsumexp(logs)
     return np.exp(logs - norm)

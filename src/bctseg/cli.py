@@ -54,22 +54,15 @@ class _EnvParser(argparse.ArgumentParser):
     BCTSEG_<FLAG> when it is set (a flag on the command line still wins).
     The value is checked with the flag's own type and choices when the
     subcommand runs, and a bad value is a usage error naming the variable.
-    The parser is built once per process, so every default and required
-    mark that a variable changes is put back when the parse ends."""
+    A checked value reaches argparse as a --flag=value token put before the
+    command-line arguments, so the parser, built once per process, is never
+    changed by a parse."""
 
     def parse_known_args(self, args=None, namespace=None):
-        saved = [(action, action.default, action.required) for action in self._actions]
-        groups = [(group, group.required) for group in self._mutually_exclusive_groups]
-        try:
-            self._apply_environment(sys.argv[1:] if args is None else args)
-            return super().parse_known_args(args, namespace)
-        finally:
-            for action, default, required in saved:
-                action.default, action.required = default, required
-            for group, required in groups:
-                group.required = required
+        args = list(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(self._environment_tokens(args) + args, namespace)
 
-    def _apply_environment(self, args):
+    def _environment_tokens(self, args) -> list[str]:
         # a flag on the command line, as --flag or --flag=value or a unique
         # prefix of --flag as argparse reads it, leaves the variables of
         # every member of its exclusive group unread
@@ -86,7 +79,7 @@ class _EnvParser(argparse.ArgumentParser):
         for group in self._mutually_exclusive_groups:
             if given.intersection(group._group_actions):
                 skip.update(group._group_actions)
-        from_env = set()
+        tokens = []
         for action in self._actions:
             if not action.option_strings or action.default is argparse.SUPPRESS or action in skip:
                 continue
@@ -100,12 +93,8 @@ class _EnvParser(argparse.ArgumentParser):
                     raise ValueError
             except ValueError:
                 self.error(f"{name}={raw!r} is not a valid {action.option_strings[0]} value")
-            action.default = value
-            action.required = False
-            from_env.add(action)
-        for group in self._mutually_exclusive_groups:
-            if from_env.intersection(group._group_actions):
-                group.required = False
+            tokens.append(f"{action.option_strings[0]}={raw}")
+        return tokens
 
 
 def _fmt(v: float) -> str:
@@ -407,8 +396,7 @@ def _fit_segment_models(x: Sequence, cp: ChangePoints, params: BctHyperParams):
     # caller builds its per-segment output (the stationary solve peaks there)
     fitted = []
     for view in partition(x, cp):
-        codes = x.full_codes()[view.start - 1 : view.end + x.depth]
-        tree = CountTree.from_arrays(codes, params.depth, params)
+        tree = CountTree.from_arrays(x.segment_codes(view.start, view.end), params)
         fitted.append((view, tree.map_model(with_params=True)))
     return fitted
 

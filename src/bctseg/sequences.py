@@ -62,7 +62,8 @@ class Sequence:
 
     The context holds the symbols immediately preceding x_1, oldest first.
     Its length fixes the maximum memory depth usable with this sequence.
-    Both are views of one int64 buffer, in an unpickled copy too.
+    Both are views of one int64 buffer, in an unpickled copy too;
+    `segment_codes` cuts a stretch of observations out of it, context first.
     """
 
     __slots__ = ("alphabet", "context", "observations", "_full")
@@ -97,6 +98,15 @@ class Sequence:
     def full_codes(self) -> np.ndarray:
         """Context followed by observations; treat as read-only."""
         return self._full
+
+    def segment_codes(self, start: int, end: int) -> np.ndarray:
+        """Observations start..end (1-based, inclusive) preceded by the
+        `depth` symbols before x_start, as a view of `full_codes()`; treat as
+        read-only. (It is not flagged so: `np.correlate`, which keys every
+        count tree, copies a read-only input.)"""
+        if not 1 <= start <= end <= self.n:
+            raise ValueError(f"segment {start}..{end} is not within observations 1..{self.n}")
+        return self._full[start - 1 : self.depth + end]
 
     def __repr__(self):
         return f"Sequence(n={self.n}, depth={self.depth}, m={self.alphabet.size})"

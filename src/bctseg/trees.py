@@ -280,20 +280,18 @@ class CountTree:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def from_arrays(cls, codes: np.ndarray, n_context: int, params: BctHyperParams):
-        """Build from a contiguous code array = initial context + observations.
+    def from_arrays(cls, codes: np.ndarray, params: BctHyperParams):
+        """Build from a code array of D = params.depth context symbols then
+        the observations, as `Sequence.segment_codes` lays them out.
 
         Every observation is counted once at each depth 0..D; the context
-        window may reach into the initial context, which must therefore hold
-        exactly D symbols.
+        window may reach into the initial context.
         """
         m, D = params.m, params.depth
-        if n_context != D:
-            raise ValueError("initial context length must equal the tree depth")
         codes = np.ascontiguousarray(codes, dtype=np.int64)
-        n = codes.size - n_context
+        n = codes.size - D
         if n < 0:
-            raise ValueError("code array shorter than its declared context")
+            raise ValueError("code array shorter than its context")
         keys, opens = _context_nodes(codes, n, params)[1:]
         # the sorted position at which each node's run of keys starts: the
         # root at 0, then the nodes below it, depth by depth
@@ -315,7 +313,9 @@ class CountTree:
     def from_sequence(cls, seq: Sequence, params: BctHyperParams):
         if seq.alphabet.size != params.m:
             raise ValueError("sequence alphabet does not match the parameters")
-        return cls.from_arrays(seq.full_codes(), seq.depth, params)
+        if seq.depth != params.depth:
+            raise ValueError("initial context length must equal the tree depth")
+        return cls.from_arrays(seq.full_codes(), params)
 
     # ------------------------------------------------------------- accessors
 
@@ -578,7 +578,7 @@ def parse_context_string(s: str, alphabet: Alphabet) -> tuple[int, ...]:
 
 def span_log_evidence(codes: np.ndarray, params: BctHyperParams) -> float:
     """Evidence of a contiguous code slice whose first D entries are context."""
-    return CountTree.from_arrays(codes, params.depth, params).log_evidence()
+    return CountTree.from_arrays(codes, params).log_evidence()
 
 
 def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = False) -> array:

@@ -96,6 +96,18 @@ class TestPartition:
             seen.extend(range(v.start, v.end + 1))
         assert seen == list(range(1, 21))
 
+    def test_views_are_segment_codes_split_at_the_depth(self):
+        rng = np.random.default_rng(31)
+        for depth in (0, 1, 3):
+            x = make_seq(rng.integers(0, 3, size=40 + depth), depth, m=3)
+            for _ in range(20):
+                ell = int(rng.integers(0, 6))
+                pos = sorted(rng.choice(np.arange(2, x.n), size=ell, replace=False))
+                for view in b.partition(x, ChangePoints(x.n, pos)):
+                    codes = x.segment_codes(view.start, view.end)
+                    assert np.array_equal(view.context, codes[:depth])
+                    assert np.array_equal(view.observations, codes[depth:])
+
 
 class TestLocationPrior:
     def test_tiny_enumeration(self):
@@ -226,6 +238,16 @@ class TestJointEvidence:
             assert with_cache == without
         # the segment (1, n) and every first segment come off the forward row
         assert cache.stats["rows"] == 2
+
+    @pytest.mark.parametrize("n", [15, 30])
+    def test_other_series_length_rejected(self, switch_sequence, n):
+        # both configurations would otherwise score a stretch of the wrong
+        # length: 9..15 stops short of the end, 9..30 runs past it
+        evidence = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
+        with pytest.raises(ValueError, match="different series length"):
+            b.log_joint_evidence(ChangePoints(n, (9,)), evidence)
+        with pytest.raises(ValueError, match="different series length"):
+            b.log_posterior_unnorm(ChangePoints(n, (9,)), evidence)
 
 
 class TestLogPosteriorUnnorm:

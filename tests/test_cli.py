@@ -687,6 +687,20 @@ class TestErrors:
         assert parameters["mode"] == mode
         assert {parameters["lmax"], parameters["num_changes"]} == {2, None}
 
+    def test_env_values_of_both_group_members_conflict(
+        self, toy_binary, tmp_path, capsys, monkeypatch
+    ):
+        # each variable reaches argparse as its flag, so the pair is refused
+        # as the two flags would be
+        monkeypatch.setenv("BCTSEG_LMAX", "2")
+        monkeypatch.setenv("BCTSEG_NUM_CHANGES", "1")
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("segment", toy_binary, "--depth", 1, "--iters", 50, "--out", out)
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_value_ignored_by_other_commands(self, tmp_path, monkeypatch):
         # generate has no --chains, so BCTSEG_CHAINS does not concern it
         monkeypatch.setenv("BCTSEG_CHAINS", "x")

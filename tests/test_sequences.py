@@ -124,3 +124,16 @@ class TestSequence:
             assert copy.context.base is copy.full_codes()
             assert copy.observations.base is copy.full_codes()
             assert list(copy.full_codes()) == [1, 0, 0, 1, 1]
+
+    def test_segment_codes_is_a_view_of_the_stretch_after_its_context(self, binary_alphabet):
+        seq = b.Sequence(binary_alphabet, [1, 0], [0, 1, 1, 0])
+        assert list(seq.segment_codes(1, 4)) == [1, 0, 0, 1, 1, 0]
+        assert list(seq.segment_codes(2, 3)) == [0, 0, 1, 1]
+        assert list(seq.segment_codes(4, 4)) == [1, 1, 0]
+        assert np.shares_memory(seq.segment_codes(2, 4), seq.full_codes())
+
+    @pytest.mark.parametrize("start, end", [(0, 2), (1, 5), (3, 2), (-1, 4)])
+    def test_segment_codes_rejects_spans_outside_the_series(self, binary_alphabet, start, end):
+        seq = b.Sequence(binary_alphabet, [1, 0], [0, 1, 1, 0])
+        with pytest.raises(ValueError, match="not within observations 1..4"):
+            seq.segment_codes(start, end)

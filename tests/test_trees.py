@@ -164,6 +164,12 @@ class TestResidentKtTables:
 
 
 class TestBuildCounts:
+    def test_context_length_must_equal_depth(self):
+        for depth in (0, 2):
+            seq = make_seq([0, 1, 1, 0, 1], 1)
+            with pytest.raises(ValueError, match="initial context length must equal"):
+                CountTree.from_sequence(seq, BctHyperParams(2, depth))
+
     def test_single_transition(self):
         seq = make_seq([0, 1], 1)
         tree = CountTree.from_sequence(seq, BctHyperParams(2, 1))
@@ -280,7 +286,7 @@ class TestCtwEvidence:
 class TestMapTree:
     def test_no_data_gives_root_only(self):
         codes = np.zeros(3, dtype=np.int64)  # the context alone
-        tree = CountTree.from_arrays(codes, 3, BctHyperParams(2, 3, 0.5))
+        tree = CountTree.from_arrays(codes, BctHyperParams(2, 3, 0.5))
         assert tree.map_model().leaves == frozenset({()})
 
     def test_depth_zero(self):
@@ -309,7 +315,7 @@ class TestMapTree:
         # 8 observed leaves, and data-free subtrees that expand to 58 more
         monkeypatch.setattr(trees, "MAP_MAX_LEAVES", 64)
         codes = TestPinnedResults.order_two_chain(2, 68, 40)
-        tree = CountTree.from_arrays(codes, 8, BctHyperParams(2, 8, 0.03))
+        tree = CountTree.from_arrays(codes, BctHyperParams(2, 8, 0.03))
         with pytest.raises(ValueError, match="leaf cap"):
             tree.map_model()
 
@@ -351,7 +357,7 @@ class TestPinnedResults:
     def test_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
         codes = self.order_two_chain(m, n + depth, seed)
         params = BctHyperParams(m, depth, beta)
-        tree = CountTree.from_arrays(codes, depth, params)
+        tree = CountTree.from_arrays(codes, params)
         model = tree.map_model(with_params=True)
         if params.beta < 0.5:  # the default beta expands no data-free subtree
             assert any(not tree.count_vector(s).any() for s in model.leaves)
@@ -393,7 +399,7 @@ class TestPinnedResults:
     )
     def test_map_readout_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
         params = BctHyperParams(m, depth, beta)
-        tree = CountTree.from_arrays(self.order_two_chain(m, n + depth, seed), depth, params)
+        tree = CountTree.from_arrays(self.order_two_chain(m, n + depth, seed), params)
         model = tree.map_model(with_params=True)
         blob = json.dumps(model.to_json(b.Alphabet.of_size(m)), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
@@ -475,7 +481,7 @@ class TestEvidenceRow:
         codes = np.arange(40) % 64
         for build in (
             lambda: evidence_row(codes, params),
-            lambda: CountTree.from_arrays(codes, 10, params),
+            lambda: CountTree.from_arrays(codes, params),
         ):
             with pytest.raises(ValueError, match="overflows context codes"):
                 build()
@@ -498,7 +504,7 @@ class TestContextNodes:
             params = BctHyperParams(m, depth)
             keys, ordered, opens = _context_nodes(codes, L, params)
             assert opens.shape == (depth + 1, L)
-            tree = CountTree.from_arrays(codes, depth, params)
+            tree = CountTree.from_arrays(codes, params)
             rows = tree._depth_rows
             assert len(tree._codes) == len(rows) - 1 == depth + 1
             # each observation's node as evidence_row finds it
@@ -521,7 +527,7 @@ class TestContextNodes:
     def test_empty_tree_is_a_root_without_counts(self):
         for m, depth in [(2, 0), (3, 4), (11, 10)]:
             codes = np.zeros(depth, dtype=np.int64)
-            tree = CountTree.from_arrays(codes, depth, BctHyperParams(m, depth))
+            tree = CountTree.from_arrays(codes, BctHyperParams(m, depth))
             assert tree.n == 0
             assert [c.size for c in tree._codes] == [1] + [0] * depth
             assert tree._depth_rows == [0] + [1] * (depth + 1)
