@@ -8,8 +8,9 @@ ratio, in which the correction is zero whenever the count is unchanged.
 
 Each chain owns one seeded generator, and every iteration draws from it in a
 fixed order: move-type choice, index/position draws, then the accept coin.
-Runs are therefore reproducible given the seed. `summarize(*traces)` reads
-the histograms and MAP estimate off one trace or pools several chains.
+Runs are therefore reproducible given the seed. A `Trace` keeps a chain's
+states and sparse histograms, which grow with the states it visits, not with
+n; `summarize(*traces)` adds them up over chains and reads the MAP estimate.
 """
 
 from __future__ import annotations
@@ -73,44 +74,45 @@ class McmcConfig:
 
 
 class Trace:
-    """Recorded post-burn-in states plus running histograms and counters.
+    """One chain's retained states and what `summarize` reports, in the shape
+    it reports it: `Counter`s of the change-point count (`ell_hist`), of the
+    positions (`loc_hist`), of the (k+1)-th position among samples with ell
+    points (`rank_hists[ell][k]`), and of proposed and accepted moves by type.
 
-    States are kept as position tuples unless the retained-sample estimate
-    exceeds the streaming limit, in which case only the histograms are
-    maintained. The best-scoring visited state is always tracked, and `run`
-    leaves the final `stats` of the chain's `EvidenceCache` in `cache_stats`.
+    Row k of `states` is iteration `burn_in + k * thinning`; no states are
+    kept when the chain would retain more than `STREAMING_STATE_LIMIT`
+    samples. `note_score` tracks the best visited state, and `run` leaves the
+    final `stats` of the chain's `EvidenceCache` in `cache_stats`.
     """
 
-    def __init__(self, n: int, ell_cap: int, store_states: bool = True):
-        self.n = n
-        self.ell_cap = ell_cap
+    def __init__(self, burn_in: int = 0, thinning: int = 1, store_states: bool = True):
+        self.burn_in = burn_in
+        self.thinning = thinning
         self.states: list[tuple[int, ...]] | None = [] if store_states else None
-        self.iterations: list[int] | None = [] if store_states else None
-        self.ell_counts = np.zeros(ell_cap + 1, dtype=np.int64)
-        self.loc_counts = np.zeros(n + 1, dtype=np.int64)
-        self.rank_counts: dict[int, np.ndarray] = {}
-        self.proposed: dict[str, int] = {}
-        self.accepted: dict[str, int] = {}
-        self.retained = 0
+        self.ell_hist: Counter[int] = Counter()
+        self.loc_hist: Counter[int] = Counter()
+        self.rank_hists: dict[int, list[Counter[int]]] = {}
+        self.proposed: Counter[str] = Counter()
+        self.accepted: Counter[str] = Counter()
         self.best_state: tuple[int, ...] | None = None
         self.best_log_post = NEG_INF
         self.cache_stats: dict = {}
 
-    def record(self, iteration: int, cp: ChangePoints):
+    @property
+    def retained(self) -> int:
+        return sum(self.ell_hist.values())
+
+    def record(self, cp: ChangePoints):
         pos = cp.positions
         ell = len(pos)
-        self.ell_counts[ell] += 1
-        if ell:
-            self.loc_counts[list(pos)] += 1
-            by_rank = self.rank_counts.get(ell)
-            if by_rank is None:
-                by_rank = np.zeros((ell, self.n + 1), dtype=np.int64)
-                self.rank_counts[ell] = by_rank
-            by_rank[range(ell), pos] += 1
-        self.retained += 1
+        self.ell_hist[ell] += 1
+        self.loc_hist.update(pos)
+        if ell not in self.rank_hists:
+            self.rank_hists[ell] = [Counter() for _ in pos]
+        for hist, p in zip(self.rank_hists[ell], pos):
+            hist[p] += 1
         if self.states is not None:
             self.states.append(pos)
-            self.iterations.append(iteration)
 
     def note_score(self, cp: ChangePoints, log_post: float):
         if log_post > self.best_log_post:
@@ -121,9 +123,9 @@ class Trace:
         """Rows iteration,ell,p_1,..,p_ell (ragged; no header)."""
         if self.states is None:
             raise ValueError("trace ran in streaming mode; no states stored")
-        for it, pos in zip(self.iterations, self.states):
-            fields = [str(it), str(len(pos))] + [str(p) for p in pos]
-            fh.write(",".join(fields) + "\n")
+        for k, pos in enumerate(self.states):
+            fields = [str(self.burn_in + k * self.thinning), str(len(pos))]
+            fh.write(",".join(fields + [str(p) for p in pos]) + "\n")
 
 
 @dataclass
@@ -310,12 +312,9 @@ def initial_state(x: Sequence, config: McmcConfig) -> ChangePoints:
 def run(x: Sequence, config: McmcConfig) -> Trace:
     """Run one chain and return its trace. Deterministic given the seed."""
     evidence = EvidenceCache(x, config.hyper(x.alphabet.size))
-    n = x.n
     cap = config.num_changes if config.fixed_mode else config.ell_max
-    if cap > (n - 3) // 2:
-        raise ValueError(f"{cap} change-points do not fit in a series of length {n}")
-    if not config.fixed_mode and n < 5:
-        raise ValueError("the unknown-count chain needs at least five observations")
+    if cap > (x.n - 3) // 2:
+        raise ValueError(f"{cap} change-points do not fit in a series of length {x.n}")
 
     rng = np.random.default_rng(config.seed)
     ell_max = config.ell_max
@@ -325,9 +324,8 @@ def run(x: Sequence, config: McmcConfig) -> Trace:
     if log_post == NEG_INF:
         raise ValueError("initial state has zero prior probability")
 
-    retained_estimate = (config.iterations - config.burn_in + config.thinning - 1)
-    retained_estimate //= config.thinning
-    trace = Trace(n, cap, store_states=retained_estimate <= STREAMING_STATE_LIMIT)
+    kept = range(config.burn_in, config.iterations, config.thinning)
+    trace = Trace(config.burn_in, config.thinning, len(kept) <= STREAMING_STATE_LIMIT)
     trace.note_score(state, log_post)
 
     for t in range(config.iterations):
@@ -335,56 +333,51 @@ def run(x: Sequence, config: McmcConfig) -> Trace:
             candidate, move = propose_fixed(state, rng)
         else:
             candidate, move = propose_variable(state, ell_max, rng)
-        trace.proposed[move] = trace.proposed.get(move, 0) + 1
+        trace.proposed[move] += 1
         log_r = log_accept_ratio(state, candidate, evidence, ell_max)
         # one accept coin per iteration, drawn even when the move is certain
         u = rng.random()
         if log_r >= 0 or u < math.exp(log_r):
             state = candidate
-            trace.accepted[move] = trace.accepted.get(move, 0) + 1
+            trace.accepted[move] += 1
             log_post = log_posterior_unnorm(state, evidence, ell_max)
             trace.note_score(state, log_post)
-        if t >= config.burn_in and (t - config.burn_in) % config.thinning == 0:
-            trace.record(t, state)
+        if t in kept:
+            trace.record(state)
     trace.cache_stats = evidence.stats
     return trace
 
 
 def summarize(*traces: Trace) -> Summary:
     """Histograms and MAP readout pooled over the traces of one or more
-    chains: histograms, per-rank tables and move counts are summed.
+    chains: histograms, per-rank histograms and move counts are summed.
 
     The count estimate is the histogram mode (ties to the smaller count); the
     location estimates are the per-rank marginal modes among the samples with
-    that count, change-points matched to clusters by rank order.
+    that count (ties to the earlier position), change-points matched to
+    clusters by rank order.
     """
-    retained = sum(tr.retained for tr in traces)
-    if retained == 0:
+    ell_hist = sum((tr.ell_hist for tr in traces), Counter())
+    loc_hist = sum((tr.loc_hist for tr in traces), Counter())
+    proposed = sum((tr.proposed for tr in traces), Counter())
+    accepted = sum((tr.accepted for tr in traces), Counter())
+    if not ell_hist:
         raise ValueError("empty trace")
-    ell_counts = sum(tr.ell_counts for tr in traces)
-    loc_counts = sum(tr.loc_counts for tr in traces)
-    proposed, accepted = Counter(), Counter()
-    for tr in traces:
-        proposed.update(tr.proposed)
-        accepted.update(tr.accepted)
-    map_ell = int(np.argmax(ell_counts))
-    cond_hists: list[dict[int, int]] = []
-    map_positions: tuple[int, ...] = ()
-    if map_ell > 0:
-        by_rank = sum(tr.rank_counts[map_ell] for tr in traces if map_ell in tr.rank_counts)
-        modes = []
-        for k in range(map_ell):
-            row = by_rank[k]
-            cond_hists.append({int(p): int(c) for p, c in enumerate(row) if c > 0})
-            modes.append(int(np.argmax(row)))
-        map_positions = tuple(modes)
+    map_ell = _mode(ell_hist)
+    ranks = [tr.rank_hists[map_ell] for tr in traces if map_ell in tr.rank_hists]
+    by_rank = [sum(hists, Counter()) for hists in zip(*ranks)]
     return Summary(
-        ell_hist={ell: int(c) for ell, c in enumerate(ell_counts) if c > 0},
-        loc_hist={int(p): int(c) for p, c in enumerate(loc_counts) if c > 0},
-        cond_hists=cond_hists,
+        ell_hist=dict(sorted(ell_hist.items())),
+        loc_hist=dict(sorted(loc_hist.items())),
+        cond_hists=[dict(sorted(hist.items())) for hist in by_rank],
         map_ell=map_ell,
-        map_positions=map_positions,
+        map_positions=tuple(map(_mode, by_rank)),
         # key order follows first proposal: summary.json keeps it unsorted
-        acceptance_rates={move: accepted[move] / c for move, c in proposed.items() if c},
-        retained=retained,
+        acceptance_rates={move: accepted[move] / c for move, c in proposed.items()},
+        retained=sum(ell_hist.values()),
     )
+
+
+def _mode(hist: Counter) -> int:
+    """The most frequent key, the smallest among ties."""
+    return min(hist, key=lambda key: (-hist[key], key))

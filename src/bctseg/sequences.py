@@ -25,6 +25,9 @@ class Alphabet:
             raise ValueError("an alphabet needs at least two symbols")
         if len(set(labels)) != len(labels):
             raise ValueError("alphabet labels must be distinct")
+        if not all(lab.strip() for lab in labels):
+            # no input format can yield such a token, yet it would raise m
+            raise ValueError(f"alphabet labels must not be empty or blank: {labels!r}")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
 

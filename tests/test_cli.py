@@ -521,6 +521,25 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, alphabet", [("maptree", "0,1,"), ("exact", "0 1")])
+    def test_blank_alphabet_label_is_usage_error(self, toy_binary, tmp_path, capsys,
+                                                 command, alphabet):
+        # a label no token can match must not count towards m (and the prior)
+        out = tmp_path / "run"
+        argv = [command, toy_binary, "--depth", 2, "--alphabet", alphabet, "--out", out]
+        assert run_cli(*argv) == 2
+        assert _error_lines(capsys) == 1
+        assert not out.exists()
+
+    def test_blank_alphabet_label_in_spec(self, tmp_path, capsys):
+        spec = {"alphabet": ["0", "1", ""], "D": 0, "seed": 3,
+                "segments": [{"contexts": {"": [0.5, 0.25, 0.25]}, "length": 20}]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 2
+        assert _error_lines(capsys) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_leaf_parameter_in_spec(self, tmp_path, capsys):
         # JSON's NaN literal parses, and a NaN row used to generate a sequence
         spec = {"alphabet": ["0", "1"], "D": 0, "seed": 3,

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestRun:
         trace = b.run(switch_sequence, cfg)
         ells = {len(pos) for pos in trace.states}
         assert ells <= {0, 1, 2, 3}
-        assert trace.ell_counts.sum() == trace.retained == len(trace.states)
+        assert sum(trace.ell_hist.values()) == trace.retained == len(trace.states)
 
     def test_visited_states_have_finite_posterior(self, switch_sequence):
         cfg = McmcConfig(iterations=5000, burn_in=0, seed=3, depth=1, ell_max=3)
@@ -274,8 +275,10 @@ class TestRun:
         )
         trace = b.run(switch_sequence, cfg)
         assert trace.retained == 80
-        assert trace.iterations[0] == 200
-        assert trace.iterations[-1] == 990
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        iterations = [int(line.split(",")[0]) for line in buf.getvalue().splitlines()]
+        assert iterations == list(range(200, 1000, 10))
 
     def test_streaming_mode_matches_histograms(self, switch_sequence, monkeypatch):
         cfg = McmcConfig(iterations=2000, burn_in=100, seed=5, depth=1, ell_max=2)
@@ -283,10 +286,27 @@ class TestRun:
         monkeypatch.setattr(mcmc, "STREAMING_STATE_LIMIT", 10)
         slim = b.run(switch_sequence, cfg)
         assert slim.states is None
-        assert np.array_equal(slim.ell_counts, full.ell_counts)
-        assert np.array_equal(slim.loc_counts, full.loc_counts)
-        s1, s2 = b.summarize(full), b.summarize(slim)
-        assert s1.map_ell == s2.map_ell and s1.map_positions == s2.map_positions
+        assert slim.ell_hist == full.ell_hist and slim.loc_hist == full.loc_hist
+        assert slim.rank_hists == full.rank_hists
+        assert b.summarize(slim).to_json_obj() == b.summarize(full).to_json_obj()
+
+    def test_pickled_trace_does_not_grow_with_the_series(self):
+        # --chains pickles each trace back from its worker, so its record must
+        # grow with the states the chain visits, not with n
+        rng = np.random.default_rng(0)
+        x = b.split_context(rng.integers(0, 2, size=20_001), 1, b.Alphabet.of_size(2))
+        cfg = McmcConfig(iterations=200, burn_in=100, seed=1, depth=1, ell_max=2)
+        assert len(pickle.dumps(b.run(x, cfg))) < 8 * 1024
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_count_cap_must_fit_the_series(self, n):
+        x = b.split_context(np.arange(n + 1) % 2, 1, b.Alphabet.of_size(2))
+        cfg = McmcConfig(iterations=20, burn_in=0, seed=0, depth=1, ell_max=2)
+        if n < 7:
+            with pytest.raises(ValueError, match="do not fit"):
+                b.run(x, cfg)
+        else:
+            assert b.run(x, cfg).retained == 20
 
     def test_trace_csv_layout(self, switch_sequence):
         cfg = McmcConfig(iterations=50, burn_in=0, seed=7, depth=1, ell_max=2)
@@ -322,10 +342,10 @@ class TestStationarity:
 
 class TestSummarize:
     def test_identical_samples(self):
-        trace = b.Trace(n=20, ell_cap=3)
+        trace = b.Trace()
         cp = ChangePoints(20, (5, 11))
-        for t in range(10):
-            trace.record(t, cp)
+        for _ in range(10):
+            trace.record(cp)
         s = b.summarize(trace)
         assert s.map_ell == 2
         assert s.map_positions == (5, 11)
@@ -354,23 +374,30 @@ class TestSummarize:
             assert getattr(pooled, field) == dict(
                 sum((Counter(getattr(s, field)) for s in parts), Counter())
             )
-        assert pooled.map_ell == int(np.argmax(traces[0].ell_counts + traces[1].ell_counts))
-        by_rank = traces[0].rank_counts[pooled.map_ell] + traces[1].rank_counts[pooled.map_ell]
-        assert pooled.cond_hists == [
-            {p: int(c) for p, c in enumerate(row) if c} for row in by_rank
-        ]
+        ell_hist = traces[0].ell_hist + traces[1].ell_hist
+        assert pooled.map_ell == max(sorted(ell_hist), key=ell_hist.get)
+        by_rank = zip(*(tr.rank_hists[pooled.map_ell] for tr in traces))
+        assert pooled.cond_hists == [dict(sorted((a + b).items())) for a, b in by_rank]
         assert list(pooled.acceptance_rates) == list(traces[0].proposed)
         for move, rate in pooled.acceptance_rates.items():
             accepted = sum(tr.accepted.get(move, 0) for tr in traces)
             assert rate == accepted / sum(tr.proposed[move] for tr in traces)
 
     def test_count_ties_break_low(self):
-        trace = b.Trace(n=20, ell_cap=3)
-        trace.record(0, ChangePoints(20, (5,)))
-        trace.record(1, ChangePoints(20, (5, 11)))
+        trace = b.Trace()
+        trace.record(ChangePoints(20, (5,)))
+        trace.record(ChangePoints(20, (5, 11)))
         s = b.summarize(trace)
         assert s.map_ell == 1
 
+    def test_rank_ties_break_early(self):
+        trace = b.Trace()
+        for pos in [(9, 15), (4, 15), (9, 12), (4, 12)]:
+            trace.record(ChangePoints(20, pos))
+        s = b.summarize(trace)
+        assert s.map_positions == (4, 12)
+        assert s.cond_hists == [{4: 2, 9: 2}, {12: 2, 15: 2}]
+
     def test_empty_trace(self):
         with pytest.raises(ValueError):
-            b.summarize(b.Trace(n=20, ell_cap=3))
+            b.summarize(b.Trace())

@@ -22,6 +22,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("0",))
 
+    @pytest.mark.parametrize("labels", [("0", "1", ""), ("0", " ", "1"), ("0", "1", "\t")])
+    def test_rejects_empty_and_blank_labels(self, labels):
+        # no input token can match such a label, yet it would count towards m
+        with pytest.raises(ValueError, match="empty or blank"):
+            Alphabet(labels)
+
 
 class TestParseFasta:
     def test_single_line(self):
