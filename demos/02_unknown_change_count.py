@@ -19,16 +19,18 @@ spec = b.ternary_benchmark_spec(seed=1)
 x, truth = b.generate_piecewise(spec)
 print(f"series: n={x.n} ternary observations, true change-points {truth}")
 
+# the model (alphabet size, memory depth, the default beta) and the sampler
+# settings go to `run` as two arguments
+params = b.BctHyperParams(m=x.alphabet.size, depth=x.depth)
 config = b.McmcConfig(
     iterations=20_000,
     burn_in=2_000,
     seed=5,
-    depth=10,
     ell_max=10,
 )
 print(f"running {config.iterations} iterations (burn-in {config.burn_in}) ...")
 t0 = time.perf_counter()
-trace = b.run(x, config)
+trace = b.run(x, params, config)
 print(f"done in {time.perf_counter() - t0:.1f}s")
 
 summary = b.summarize(trace)

@@ -51,7 +51,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nspec file round-trip reproduces the series exactly: {identical}")
 
 # sanity: does the sampler see the three regimes?
-config = b.McmcConfig(iterations=15_000, burn_in=1_500, seed=3, depth=3, ell_max=6)
-summary = b.summarize(b.run(x, config))
+params = b.BctHyperParams(m=2, depth=spec.depth)
+config = b.McmcConfig(iterations=15_000, burn_in=1_500, seed=3, ell_max=6)
+summary = b.summarize(b.run(x, params, config))
 print(f"sampler's count posterior mode: {summary.map_ell} "
       f"(locations {summary.map_positions})")

@@ -48,7 +48,6 @@ from .simulate import (
     model_from_table,
     piecewise_spec_from_json,
     piecewise_spec_to_json,
-    sample_next,
     stationary_marginal,
     ternary_benchmark_spec,
 )
@@ -56,14 +55,10 @@ from .trees import (
     BctHyperParams,
     CountTree,
     TreeModel,
-    brute_force_evidence,
-    count_proper_trees,
     default_beta,
-    enumerate_proper_trees,
     kt_log_prob,
     leaf_posterior_mean,
     map_tree,
-    tree_log_prior,
 )
 
 __all__ = [
@@ -82,10 +77,7 @@ __all__ = [
     "Summary",
     "Trace",
     "TreeModel",
-    "brute_force_evidence",
-    "count_proper_trees",
     "default_beta",
-    "enumerate_proper_trees",
     "exact_single_cp_posterior",
     "generate_piecewise",
     "kt_log_prob",
@@ -107,11 +99,9 @@ __all__ = [
     "propose_fixed",
     "propose_variable",
     "run",
-    "sample_next",
     "segment_spans",
     "split_context",
     "stationary_marginal",
     "summarize",
     "ternary_benchmark_spec",
-    "tree_log_prior",
 ]

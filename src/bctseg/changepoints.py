@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .sequences import Sequence
-from .trees import BctHyperParams, evidence_row, span_log_evidence
+from .trees import BctHyperParams, check_fit, evidence_row, span_log_evidence
 
 NEG_INF = float("-inf")
 CACHE_CAPACITY = 1_000_000  # evidence values an EvidenceCache keeps
@@ -183,8 +183,7 @@ class EvidenceCache:
     """
 
     def __init__(self, x: Sequence, params: BctHyperParams):
-        if x.depth != params.depth:
-            raise ValueError("sequence context length must equal params.depth")
+        check_fit(x, params)
         self.x = x
         self._params = params
         self._store: OrderedDict[tuple[int, int], float] = OrderedDict()
@@ -275,8 +274,7 @@ def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray
     cached. Both gaps around the change-point must be at least 1, so below
     five observations no position has prior mass.
     """
-    if x.depth != params.depth:
-        raise ValueError("sequence context length must equal params.depth")
+    check_fit(x, params)
     n = x.n
     if n < 5:
         raise ValueError("need at least five observations")

@@ -14,6 +14,7 @@ the tool version; outputs are byte-stable for a given seed. Exit codes:
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import functools
 import hashlib
@@ -193,11 +194,21 @@ def _resolve_alphabet(arg: str | None, is_fasta: bool) -> Alphabet:
 def _load_sequence(path: str, depth: int, alphabet_arg: str | None):
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    head = data.lstrip()[:1]
+    head = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
     is_fasta = path.lower().endswith((".fa", ".fasta", ".fna")) or head == b">"
     alphabet = _resolve_alphabet(alphabet_arg, is_fasta)
     if is_fasta:
         mapping = {lab.upper(): i for i, lab in enumerate(alphabet.labels)}
+        # FASTA symbols are single characters read without case, so no
+        # other label may match them
+        for i, lab in enumerate(alphabet.labels):
+            if len(lab) != 1:
+                raise ValueError(f"alphabet label {lab!r} is not one character, "
+                                 "as FASTA symbols are")
+            if mapping[lab.upper()] != i:
+                raise ValueError(f"alphabet label {lab!r} differs from "
+                                 f"{alphabet.labels[mapping[lab.upper()]]!r} only in case, "
+                                 "and FASTA symbols are read without case")
         raw = parse_fasta(data, mapping)
     elif path.lower().endswith(".csv"):
         raw = parse_csv(data, alphabet)
@@ -329,13 +340,11 @@ def _write_outputs(args, started, files: dict, digest: str, resolved: dict,
 
 
 def cmd_segment(args) -> dict:
-    x, _, digest, resolved = _load_model_input(args)
+    x, params, digest, resolved = _load_model_input(args)
     base = McmcConfig(
         iterations=args.iters,
         burn_in=args.burnin,
         seed=args.seed,
-        depth=args.depth,
-        beta=args.beta,
         num_changes=args.num_changes,
         ell_max=args.lmax,
         thinning=args.thin,
@@ -343,13 +352,13 @@ def cmd_segment(args) -> dict:
     if args.chains < 1:
         raise ValueError("--chains must be positive")
     if args.chains == 1:
-        traces = [run(x, base)]
+        traces = [run(x, params, base)]
     else:
         seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
         configs = [dataclasses.replace(base, seed=s) for s in seeds]
         workers = min(args.chains, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run, [x] * args.chains, configs))
+            traces = list(pool.map(run, [x] * args.chains, [params] * args.chains, configs))
 
     files = {}
     for i, tr in enumerate(traces):

@@ -38,15 +38,13 @@ STREAMING_STATE_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings: iteration budget, burn-in, seed, model depth and
-    prior weight, plus exactly one of `num_changes` (known count) or
-    `ell_max` (unknown count, requires ell_max >= 2)."""
+    """Sampler settings: iteration budget, burn-in, seed and thinning, plus
+    exactly one of `num_changes` (known count) or `ell_max` (unknown count,
+    requires ell_max >= 2). The model is `run`'s own argument."""
 
     iterations: int
     burn_in: int
     seed: int | np.random.SeedSequence
-    depth: int
-    beta: float | None = None
     num_changes: int | None = None
     ell_max: int | None = None
     thinning: int = 1
@@ -68,9 +66,6 @@ class McmcConfig:
     @property
     def fixed_mode(self) -> bool:
         return self.num_changes is not None
-
-    def hyper(self, m: int) -> BctHyperParams:
-        return BctHyperParams(m, self.depth, self.beta)
 
 
 class Trace:
@@ -309,9 +304,10 @@ def initial_state(x: Sequence, config: McmcConfig) -> ChangePoints:
     return ChangePoints(x.n)
 
 
-def run(x: Sequence, config: McmcConfig) -> Trace:
-    """Run one chain and return its trace. Deterministic given the seed."""
-    evidence = EvidenceCache(x, config.hyper(x.alphabet.size))
+def run(x: Sequence, params: BctHyperParams, config: McmcConfig) -> Trace:
+    """Run one chain on the series `x` under the model `params` and return
+    its trace. Deterministic given the seed."""
+    evidence = EvidenceCache(x, params)
     cap = config.num_changes if config.fixed_mode else config.ell_max
     if cap > (x.n - 3) // 2:
         raise ValueError(f"{cap} change-points do not fit in a series of length {x.n}")

@@ -116,12 +116,13 @@ class Sequence:
 
 
 def _as_text(data) -> str:
+    """The input as text, without the byte-order mark it may start with."""
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8/ASCII text: {exc}") from None
-    return data
+    return data.removeprefix("\ufeff")
 
 
 def parse_fasta(data, mapping: dict[str, int] | None = None) -> list[int]:

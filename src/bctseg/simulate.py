@@ -13,9 +13,8 @@ below 1). A chain takes its uniforms from one `np.random.default_rng(seed)`
 stream, one double per symbol, in order. `generate_piecewise` draws them
 DRAW_CHUNK at a time with `rng.random(k)`, the same doubles as k scalar
 `rng.random()` calls, and bisects the cumulative row of the current closure
-state. `sample_next` applies the rule one step at a time by walking the
-tree; the tests check that a loop of it gives `generate_piecewise`'s output
-bit for bit.
+state. The tests check its output bit for bit against the rule applied one
+step at a time, by walking the tree along the history for every symbol.
 
 The stationary analysis solves the closure's sparse kernel with one
 recurrent state's probability pinned to 1, by SuperLU (see
@@ -101,16 +100,6 @@ class PiecewiseSpec:
             running += spec.length
             points.append(running)
         return tuple(points)
-
-
-def sample_next(model: TreeModel, history, rng) -> int:
-    """Draw the next symbol: walk the tree along the most recent symbols of
-    `history` (oldest first) to a leaf and sample from its distribution,
-    with one `rng.random()`."""
-    theta = model.theta(model.leaf_for(history))
-    u = rng.random()
-    j = int(np.searchsorted(np.cumsum(theta), u, side="right"))
-    return min(j, model.m - 1)
 
 
 def generate_piecewise(spec: PiecewiseSpec) -> tuple[Sequence, tuple[int, ...]]:

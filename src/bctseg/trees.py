@@ -3,8 +3,9 @@
 Holds per-context transition counts, Krichevsky-Trofimov integrated
 likelihoods, the context-tree-weighting evidence recursion and the BCT
 recursion that selects the maximising (MAP) tree model (one bottom-up pass
-that differs only in how a node combines its stop and split terms), and a
-brute-force enumeration oracle used to validate both on small model classes.
+that differs only in how a node combines its stop and split terms). The
+tests check both against a brute-force enumeration of every tree model of a
+small class.
 
 All probability arithmetic is carried out in the natural-log domain; the
 two-term weighting mixture uses log-sum-exp. Contexts are tuples of symbol
@@ -32,15 +33,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product as _cartesian
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .sequences import Alphabet, ParseError, Sequence
 
 MAP_MAX_LEAVES = 1_000_000  # largest MAP tree map_model returns
-ENUMERATION_MAX_TREES = 100_000  # largest model class enumerate_proper_trees lists
 
 
 def default_beta(m: int) -> float:
@@ -83,10 +83,6 @@ class BctHyperParams:
         object.__setattr__(self, "beta", beta)
 
     @property
-    def alpha(self) -> float:
-        return (1.0 - self.beta) ** (1.0 / (self.m - 1))
-
-    @property
     def log_beta(self) -> float:
         return math.log(self.beta)
 
@@ -94,9 +90,20 @@ class BctHyperParams:
     def log_1mbeta(self) -> float:
         return math.log1p(-self.beta)
 
-    @property
-    def log_alpha(self) -> float:
-        return math.log1p(-self.beta) / (self.m - 1)
+
+def check_fit(seq: Sequence, params: BctHyperParams) -> None:
+    """Raise ValueError unless `params` describes models of `seq`: the same
+    alphabet size m, and an initial context of D symbols."""
+    if seq.alphabet.size != params.m:
+        raise ValueError(
+            f"the series has an alphabet of {seq.alphabet.size} symbols, "
+            f"the parameters m = {params.m}"
+        )
+    if seq.depth != params.depth:
+        raise ValueError(
+            f"initial context length must equal the tree depth: the series has "
+            f"{seq.depth} context symbols, the parameters D = {params.depth}"
+        )
 
 
 def kt_log_prob(counts, m: int | None = None) -> float:
@@ -311,53 +318,14 @@ class CountTree:
 
     @classmethod
     def from_sequence(cls, seq: Sequence, params: BctHyperParams):
-        if seq.alphabet.size != params.m:
-            raise ValueError("sequence alphabet does not match the parameters")
-        if seq.depth != params.depth:
-            raise ValueError("initial context length must equal the tree depth")
+        check_fit(seq, params)
         return cls.from_arrays(seq.full_codes(), params)
-
-    # ------------------------------------------------------------- accessors
-
-    @staticmethod
-    def encode_context(context, m: int) -> int:
-        """Code of a context tuple (most recent symbol first), as laid out by
-        `_context_nodes`: the most recent symbol is the leading base-m digit."""
-        code = 0
-        for sym in context:
-            code = code * m + int(sym)
-        return code
-
-    @staticmethod
-    def decode_context(code: int, depth: int, m: int) -> tuple[int, ...]:
-        """The depth-long context tuple of `code`, most recent symbol first."""
-        out = []
-        for _ in range(depth):
-            out.append(int(code % m))
-            code //= m
-        return tuple(out[::-1])
 
     def _row(self, d: int, code: int) -> int:
         """Row of the depth-d node with this context code; -1 if unobserved."""
         table = self._codes[d]
         idx = int(np.searchsorted(table, code))
         return self._depth_rows[d] + idx if idx < table.size and table[idx] == code else -1
-
-    def count_vector(self, context) -> np.ndarray:
-        """Counts of the symbols following `context`; zeros if never seen."""
-        d = len(context)
-        if d > self.params.depth:
-            raise ValueError("context longer than the tree depth")
-        row = self._row(d, self.encode_context(context, self.params.m))
-        if row < 0:
-            return np.zeros(self.params.m, dtype=np.int64)
-        return self._all_counts[row].astype(np.int64)
-
-    def contexts_at_depth(self, d: int):
-        """Pairs (context tuple, count vector) for the observed depth-d nodes."""
-        m, rows = self.params.m, self._depth_rows
-        for code, row in zip(self._codes[d], self._all_counts[rows[d] : rows[d + 1]]):
-            yield self.decode_context(int(code), d, m), row.astype(np.int64)
 
     # ------------------------------------------------------- recursions
 
@@ -395,14 +363,6 @@ class CountTree:
     def root_log_pm(self) -> float:
         """Log posterior score of the maximising tree model."""
         return float(self._log_pm[0])
-
-    def log_pw_at(self, context) -> float:
-        """Weighted score of an observed node (for invariant checks)."""
-        d = len(context)
-        row = self._row(d, self.encode_context(context, self.params.m))
-        if row < 0:
-            raise KeyError(f"context {context!r} not in the tree")
-        return float(self._log_pw[row])
 
     # --------------------------------------------------------------- MAP tree
 
@@ -502,19 +462,6 @@ class TreeModel:
         if self.params is None:
             raise ValueError("this model carries no leaf parameters")
         return self.params[tuple(leaf)]
-
-    def leaf_for(self, history) -> tuple[int, ...]:
-        """Leaf context selected by a past-symbol sequence (oldest first)."""
-        s = ()
-        k = 1
-        while s not in self.leaves:
-            if k > len(history):
-                raise ValueError(
-                    f"history of length {len(history)} too short to reach a leaf"
-                )
-            s = s + (int(history[-k]),)
-            k += 1
-        return s
 
     # ------------------------------------------------------------ serialization
 
@@ -652,58 +599,3 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
 def map_tree(seq: Sequence, params: BctHyperParams, with_params: bool = False) -> TreeModel:
     """The MAP tree model of the sequence under the hierarchical tree prior."""
     return CountTree.from_sequence(seq, params).map_model(with_params=with_params)
-
-
-def count_proper_trees(m: int, depth: int) -> int:
-    """|T(d+1)| = |T(d)|**m + 1 with |T(0)| = 1."""
-    count = 1
-    for _ in range(depth):
-        count = count**m + 1
-    return count
-
-
-def enumerate_proper_trees(m: int, depth: int):
-    """All proper m-ary trees of depth <= `depth` as frozensets of leaf tuples."""
-    total = count_proper_trees(m, depth)
-    if total > ENUMERATION_MAX_TREES:
-        raise ValueError(f"model class too large to enumerate ({total} trees)")
-
-    def build(budget):
-        trees = [frozenset({()})]
-        if budget == 0:
-            return trees
-        subtrees = build(budget - 1)
-        for combo in _cartesian(subtrees, repeat=m):
-            leaves = set()
-            for j, sub in enumerate(combo):
-                for s in sub:
-                    leaves.add((j,) + s)
-            trees.append(frozenset(leaves))
-        return trees
-
-    return build(depth)
-
-
-def tree_log_prior(leaves, params: BctHyperParams) -> float:
-    """Log prior mass of a tree model: alpha**(|T|-1) * beta**(|T|-L_D)."""
-    size = len(leaves)
-    at_max_depth = sum(1 for s in leaves if len(s) == params.depth)
-    return (size - 1) * params.log_alpha + (size - at_max_depth) * params.log_beta
-
-
-def brute_force_evidence(seq: Sequence, params: BctHyperParams) -> float:
-    """Evidence by explicit enumeration: sum over every proper tree of its
-    prior mass times the product of leaf-level KT likelihoods. Tractable only
-    for small alphabets and shallow depth caps."""
-    counts = CountTree.from_sequence(seq, params)
-    kt_cache: dict[tuple, float] = {}
-
-    def leaf_kt(s):
-        if s not in kt_cache:
-            kt_cache[s] = kt_log_prob(counts.count_vector(s), params.m)
-        return kt_cache[s]
-
-    scores = []
-    for tree in enumerate_proper_trees(params.m, params.depth):
-        scores.append(tree_log_prior(tree, params) + sum(leaf_kt(s) for s in tree))
-    return float(logsumexp(scores))

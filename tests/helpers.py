@@ -15,6 +15,144 @@ from scipy.special import logsumexp
 import bctseg as b
 from bctseg.trees import span_log_evidence
 
+ENUMERATION_MAX_TREES = 100_000  # largest model class enumerate_proper_trees lists
+
+
+def alpha(params) -> float:
+    """The split weight each of a node's m subtrees gets in the tree prior,
+    (1-beta)**(1/(m-1))."""
+    return (1.0 - params.beta) ** (1.0 / (params.m - 1))
+
+
+def log_alpha(params) -> float:
+    return math.log1p(-params.beta) / (params.m - 1)
+
+
+def encode_context(context, m: int) -> int:
+    """Code of a context tuple (most recent symbol first), as laid out by
+    `_context_nodes`: the most recent symbol is the leading base-m digit."""
+    code = 0
+    for sym in context:
+        code = code * m + int(sym)
+    return code
+
+
+def decode_context(code: int, depth: int, m: int) -> tuple[int, ...]:
+    """The depth-long context tuple of `code`, most recent symbol first."""
+    out = []
+    for _ in range(depth):
+        out.append(int(code % m))
+        code //= m
+    return tuple(out[::-1])
+
+
+def count_vector(tree, context) -> np.ndarray:
+    """Counts of the symbols following `context`; zeros if never seen."""
+    d = len(context)
+    if d > tree.params.depth:
+        raise ValueError("context longer than the tree depth")
+    row = tree._row(d, encode_context(context, tree.params.m))
+    if row < 0:
+        return np.zeros(tree.params.m, dtype=np.int64)
+    return tree._all_counts[row].astype(np.int64)
+
+
+def contexts_at_depth(tree, d: int):
+    """Pairs (context tuple, count vector) for the observed depth-d nodes."""
+    m, rows = tree.params.m, tree._depth_rows
+    for code, row in zip(tree._codes[d], tree._all_counts[rows[d] : rows[d + 1]]):
+        yield decode_context(int(code), d, m), row.astype(np.int64)
+
+
+def log_pw_at(tree, context) -> float:
+    """Weighted score of an observed node (for invariant checks)."""
+    d = len(context)
+    row = tree._row(d, encode_context(context, tree.params.m))
+    if row < 0:
+        raise KeyError(f"context {context!r} not in the tree")
+    return float(tree._log_pw[row])
+
+
+def leaf_for(model, history) -> tuple[int, ...]:
+    """Leaf context selected by a past-symbol sequence (oldest first)."""
+    s = ()
+    k = 1
+    while s not in model.leaves:
+        if k > len(history):
+            raise ValueError(
+                f"history of length {len(history)} too short to reach a leaf"
+            )
+        s = s + (int(history[-k]),)
+        k += 1
+    return s
+
+
+def sample_next(model, history, rng) -> int:
+    """Draw the next symbol: walk the tree along the most recent symbols of
+    `history` (oldest first) to a leaf and sample from its distribution,
+    with one `rng.random()`."""
+    theta = model.theta(leaf_for(model, history))
+    u = rng.random()
+    j = int(np.searchsorted(np.cumsum(theta), u, side="right"))
+    return min(j, model.m - 1)
+
+
+def count_proper_trees(m: int, depth: int) -> int:
+    """|T(d+1)| = |T(d)|**m + 1 with |T(0)| = 1."""
+    count = 1
+    for _ in range(depth):
+        count = count**m + 1
+    return count
+
+
+def enumerate_proper_trees(m: int, depth: int):
+    """All proper m-ary trees of depth <= `depth` as frozensets of leaf tuples."""
+    total = count_proper_trees(m, depth)
+    if total > ENUMERATION_MAX_TREES:
+        raise ValueError(f"model class too large to enumerate ({total} trees)")
+
+    def build(budget):
+        trees = [frozenset({()})]
+        if budget == 0:
+            return trees
+        subtrees = build(budget - 1)
+        for combo in itertools.product(subtrees, repeat=m):
+            leaves = set()
+            for j, sub in enumerate(combo):
+                for s in sub:
+                    leaves.add((j,) + s)
+            trees.append(frozenset(leaves))
+        return trees
+
+    return build(depth)
+
+
+def tree_log_prior(leaves, params) -> float:
+    """Log prior mass of a tree model: alpha**(|T|-1) * beta**(|T|-L_D)."""
+    size = len(leaves)
+    at_max_depth = sum(1 for s in leaves if len(s) == params.depth)
+    return (size - 1) * log_alpha(params) + (size - at_max_depth) * params.log_beta
+
+
+def tree_log_score(counts, leaves) -> float:
+    """Log posterior score of the tree model with these leaves on the data
+    of the count tree `counts`: its prior plus the KT score of each leaf's
+    counts."""
+    params = counts.params
+    return tree_log_prior(leaves, params) + sum(
+        b.kt_log_prob(count_vector(counts, s), params.m) for s in leaves
+    )
+
+
+def brute_force_evidence(seq, params) -> float:
+    """Evidence by explicit enumeration: sum over every proper tree of its
+    prior mass times the product of leaf-level KT likelihoods. Tractable only
+    for small alphabets and shallow depth caps."""
+    counts = b.CountTree.from_sequence(seq, params)
+    return float(logsumexp([
+        tree_log_score(counts, tree) for tree in enumerate_proper_trees(params.m, params.depth)
+    ]))
+
 
 def kt_log_prob_product(counts) -> float:
     """KT likelihood via the explicit running product, one factor per count."""
@@ -47,10 +185,8 @@ def enumerate_map_score(x, params):
     counts = b.CountTree.from_sequence(x, params)
     best_score = -math.inf
     best_trees = []
-    for tree in b.enumerate_proper_trees(params.m, params.depth):
-        score = b.tree_log_prior(tree, params) + sum(
-            b.kt_log_prob(counts.count_vector(s)) for s in tree
-        )
+    for tree in enumerate_proper_trees(params.m, params.depth):
+        score = tree_log_score(counts, tree)
         if score > best_score + 1e-12:
             best_score, best_trees = score, [tree]
         elif abs(score - best_score) <= 1e-12:
@@ -59,10 +195,7 @@ def enumerate_map_score(x, params):
 
 
 def model_score(x, model, params) -> float:
-    counts = b.CountTree.from_sequence(x, params)
-    return b.tree_log_prior(model.leaves, params) + sum(
-        b.kt_log_prob(counts.count_vector(s)) for s in model.leaves
-    )
+    return tree_log_score(b.CountTree.from_sequence(x, params), model.leaves)
 
 
 def all_configs(n: int, ell_max: int):
@@ -126,7 +259,7 @@ def window_kernel(model) -> np.ndarray:
     P = np.zeros((n_states, n_states))
     for code in range(n_states):
         window = [code // m**i % m for i in range(d)][::-1]
-        theta = model.theta(model.leaf_for(window))
+        theta = model.theta(leaf_for(model, window))
         for j in range(m):
             P[code, j + m * (code % m ** (d - 1))] += theta[j]
     return P

@@ -15,12 +15,17 @@ from bctseg import BctHyperParams, ChangePoints, EvidenceCache, McmcConfig
 
 from conftest import require_data
 from helpers import (
+    brute_force_evidence,
+    contexts_at_depth,
     count_contexts_by_hand,
+    count_vector,
     empirical_distribution,
+    enumerate_proper_trees,
     exhaustive_joint_posterior,
     kt_log_prob_product,
     reference_log_posterior,
     total_variation,
+    tree_log_prior,
 )
 
 
@@ -47,7 +52,7 @@ def test_criterion_1_oracle_equivalence():
         x = b.split_context(raw, depth, b.Alphabet.of_size(2))
         params = BctHyperParams(2, depth, beta)
         evidence = b.CountTree.from_sequence(x, params).log_evidence()
-        diff = abs(evidence - b.brute_force_evidence(x, params))
+        diff = abs(evidence - brute_force_evidence(x, params))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
     report(
@@ -65,8 +70,8 @@ def test_criterion_2_prior_normalisation():
     for depth in (1, 2, 3):
         params = BctHyperParams(2, depth, 0.37)
         total = sum(
-            math.exp(b.tree_log_prior(t, params))
-            for t in b.enumerate_proper_trees(2, depth)
+            math.exp(tree_log_prior(t, params))
+            for t in enumerate_proper_trees(2, depth)
         )
         ok &= abs(total - 1.0) <= 1e-12
         details.append(f"tree prior D={depth}: {total:.15f}")
@@ -99,8 +104,8 @@ def test_criterion_3_sampler_correctness_at_desk_scale():
 
     t0 = time.perf_counter()
     exact = b.exact_single_cp_posterior(x, params)
-    cfg = McmcConfig(iterations=100_000, burn_in=0, seed=7, depth=1, num_changes=1)
-    trace = b.run(x, cfg)
+    cfg = McmcConfig(iterations=100_000, burn_in=0, seed=7, num_changes=1)
+    trace = b.run(x, params, cfg)
     emp = np.zeros(x.n - 2)
     for pos in trace.states:
         emp[pos[0] - 2] += 1
@@ -110,8 +115,8 @@ def test_criterion_3_sampler_correctness_at_desk_scale():
 
     t0 = time.perf_counter()
     configs, joint = exhaustive_joint_posterior(x, params, ell_max=2)
-    cfg = McmcConfig(iterations=200_000, burn_in=0, seed=11, depth=1, ell_max=2)
-    trace = b.run(x, cfg)
+    cfg = McmcConfig(iterations=200_000, burn_in=0, seed=11, ell_max=2)
+    trace = b.run(x, params, cfg)
     tv_var = total_variation(empirical_distribution(trace.states, configs), joint)
     t_var = time.perf_counter() - t0
 
@@ -126,10 +131,8 @@ def test_criterion_3_sampler_correctness_at_desk_scale():
 def test_criterion_4_synthetic_reproduction():
     t0 = time.perf_counter()
     x, truth = b.generate_piecewise(b.ternary_benchmark_spec(seed=1))
-    cfg = McmcConfig(
-        iterations=100_000, burn_in=10_000, seed=5, depth=10, ell_max=10
-    )
-    summary = b.summarize(b.run(x, cfg))
+    cfg = McmcConfig(iterations=100_000, burn_in=10_000, seed=5, ell_max=10)
+    summary = b.summarize(b.run(x, BctHyperParams(3, 10), cfg))
     elapsed = time.perf_counter() - t0
 
     mode_freq = summary.ell_hist.get(summary.map_ell, 0) / summary.retained
@@ -204,8 +207,8 @@ def test_criterion_7_el_nino():
     stationary_ok = all(
         abs(got - want) <= 0.03 for got, want in zip(marginals, (0.14, 0.35, 0.54))
     )
-    cfg = McmcConfig(iterations=20_000, burn_in=2_000, seed=13, depth=5, ell_max=5)
-    summary = b.summarize(b.run(x, cfg))
+    cfg = McmcConfig(iterations=20_000, burn_in=2_000, seed=13, ell_max=5)
+    summary = b.summarize(b.run(x, params, cfg))
     counts = summary.ell_hist
     mcmc_ok = summary.map_ell in (1, 2) and counts.get(2, 0) >= counts.get(1, 0)
     report(
@@ -252,8 +255,8 @@ def test_criterion_8_property_battery():
         tree = b.CountTree.from_sequence(x, BctHyperParams(2, depth))
         oracle = count_contexts_by_hand(raw[:depth], raw[depth:], depth, 2)
         for d in range(depth):
-            for ctx, vec in tree.contexts_at_depth(d):
-                children = sum(tree.count_vector(ctx + (j,)) for j in range(2))
+            for ctx, vec in contexts_at_depth(tree, d):
+                children = sum(count_vector(tree, ctx + (j,)) for j in range(2))
                 partition_ok &= list(children) == list(vec) == oracle[ctx]
     ok &= partition_ok
     details.append(f"count partition {'ok' if partition_ok else 'BROKEN'}")
@@ -273,8 +276,9 @@ def test_criterion_8_property_battery():
 
     # seed determinism
     x = make_switch_sequence()
-    cfg = McmcConfig(iterations=3000, burn_in=100, seed=21, depth=1, ell_max=2)
-    det = b.run(x, cfg).states == b.run(x, cfg).states
+    cfg = McmcConfig(iterations=3000, burn_in=100, seed=21, ell_max=2)
+    params = BctHyperParams(2, 1)
+    det = b.run(x, params, cfg).states == b.run(x, params, cfg).states
     ok &= det
     details.append(f"seed determinism {'ok' if det else 'BROKEN'}")
 

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 import bctseg as b
 from bctseg import BctHyperParams, ChangePoints, EvidenceCache, changepoints
 
-from helpers import reference_log_posterior, total_variation
+from helpers import brute_force_evidence, reference_log_posterior, total_variation
 
 
 def make_seq(raw, depth, m=2):
@@ -183,7 +183,24 @@ class TestEvidenceCache:
             elif build == "exact":
                 b.exact_single_cp_posterior(switch_sequence, params)
             else:
-                b.run(switch_sequence, b.McmcConfig(10, 0, seed=1, depth=2, num_changes=1))
+                b.run(switch_sequence, params, b.McmcConfig(10, 0, seed=1, num_changes=1))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("build", ["engine", "exact", "run"])
+    def test_alphabet_size_mismatch_rejected(self, build, m):
+        # a ternary series: binary parameters would score its symbol 2 as
+        # part of another context's code, and m = 4 fits it with the prior
+        # and the KT terms of a four-symbol alphabet
+        full, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1, depth=4))
+        x = b.Sequence(full.alphabet, full.context, full.observations[2300:2700])
+        params = BctHyperParams(m, 4)
+        with pytest.raises(ValueError, match=f"alphabet of 3 symbols, the parameters m = {m}"):
+            if build == "engine":
+                EvidenceCache(x, params)
+            elif build == "exact":
+                b.exact_single_cp_posterior(x, params)
+            else:
+                b.run(x, params, b.McmcConfig(10, 0, seed=1, num_changes=1))
 
 
 class TestJointEvidence:
@@ -308,7 +325,7 @@ class TestExactSingleCp:
             total = prior
             for view in b.partition(x, cp):
                 seg = b.Sequence(x.alphabet, view.context, view.observations)
-                total += b.brute_force_evidence(seg, params)
+                total += brute_force_evidence(seg, params)
             logs[p - 2] = total
         oracle = np.exp(logs - logsumexp(logs))
         oracle[np.isneginf(logs)] = 0.0

@@ -145,6 +145,25 @@ class TestSegment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["retained"] == 2 * 900
 
+    def test_chains_equal_runs_with_spawned_seeds(self, toy_binary, tmp_path):
+        # worker processes, each sent the series, the parameters (with a
+        # beta that is not the default) and its config
+        out = tmp_path / "run"
+        code = run_cli(
+            "segment", toy_binary, "--depth", 2, "--beta", 0.3, "--lmax", 3,
+            "--iters", 600, "--burnin", 100, "--thin", 3, "--seed", 11, "--chains", 2,
+            "--out", out,
+        )
+        assert code == 0
+        x, _ = cli._load_sequence(str(toy_binary), 2, None)
+        params = b.BctHyperParams(2, 2, 0.3)
+        traces = [
+            b.run(x, params, b.McmcConfig(600, 100, seed=s, ell_max=3, thinning=3))
+            for s in np.random.SeedSequence(11).spawn(2)
+        ]
+        expect = json.dumps(b.summarize(*traces).to_json_obj(), indent=2) + "\n"
+        assert (out / "summary.json").read_text() == expect
+
     @pytest.mark.parametrize("cpus, chains, workers", [(2, 3, 2), (None, 2, 1), (8, 3, 3)])
     def test_chain_pool_capped_at_cpu_count(
         self, toy_binary, tmp_path, monkeypatch, cpus, chains, workers
@@ -475,6 +494,28 @@ class TestOutputs:
         assert list(tmp_path.iterdir()) == [target]
 
 
+class TestByteOrderMark:
+    # a file saved with a UTF-8 byte-order mark reads as the same file
+    # without it
+    @pytest.mark.parametrize("name, body, alphabet", [
+        ("bom.txt", "0110100111\n", None),
+        ("bom.fa", ">x\nACGTTGCAAC\n", None),
+        ("bomfa.txt", ">x\nACGTTGCAAC\n", None),
+        ("bom.csv", "2\n0\n1\n1\n2\n0\n", "012"),
+        ("lines.txt", "2\n0\n1\n1\n2\n0\n", "012"),
+    ], ids=["plain", "fasta", "fasta-in-txt", "csv", "lines"])
+    def test_same_codes_as_without_the_mark(self, tmp_path, name, body, alphabet):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        (plain / name).write_bytes(body.encode())
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + body.encode())
+        want, _ = cli._load_sequence(str(plain / name), 1, alphabet)
+        got, _ = cli._load_sequence(str(marked / name), 1, alphabet)
+        assert got.alphabet == want.alphabet
+        assert np.array_equal(got.full_codes(), want.full_codes())
+
+
 def _error_lines(capsys) -> int:
     """Number of stderr lines, after checking they are all 'error:' lines."""
     lines = capsys.readouterr().err.splitlines()
@@ -529,6 +570,21 @@ class TestErrors:
         argv = [command, toy_binary, "--depth", 2, "--alphabet", alphabet, "--out", out]
         assert run_cli(*argv) == 2
         assert _error_lines(capsys) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alphabet, label", [("aA", "'a'"), ("A,C,GT", "'GT'"),
+                                                 ("AC,G,T", "'AC'")])
+    def test_label_no_fasta_symbol_matches_is_usage_error(self, tmp_path, capsys,
+                                                          alphabet, label):
+        # FASTA is read one character at a time and without case, so 'a'
+        # would read every 'A' and 'GT' nothing at all
+        path = tmp_path / "z.fa"
+        path.write_text(">x\nAaAaaAAAaaaaAAAAaaa\n")
+        out = tmp_path / "run"
+        argv = ["maptree", path, "--depth", 1, "--alphabet", alphabet, "--out", out]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and label in err[0]
         assert not out.exists()
 
     def test_blank_alphabet_label_in_spec(self, tmp_path, capsys):

@@ -18,22 +18,25 @@ from helpers import (
     total_variation,
 )
 
+# the model of the binary series with one context symbol used throughout
+SWITCH_PARAMS = BctHyperParams(2, 1)
+
 
 class TestConfig:
     def test_exactly_one_mode(self):
         with pytest.raises(ValueError):
-            McmcConfig(iterations=10, burn_in=0, seed=0, depth=1)
+            McmcConfig(iterations=10, burn_in=0, seed=0)
         with pytest.raises(ValueError):
-            McmcConfig(iterations=10, burn_in=0, seed=0, depth=1, num_changes=1, ell_max=3)
+            McmcConfig(iterations=10, burn_in=0, seed=0, num_changes=1, ell_max=3)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            McmcConfig(iterations=10, burn_in=10, seed=0, depth=1, num_changes=1)
+            McmcConfig(iterations=10, burn_in=10, seed=0, num_changes=1)
         with pytest.raises(ValueError):
-            McmcConfig(iterations=10, burn_in=0, seed=0, depth=1, num_changes=0)
+            McmcConfig(iterations=10, burn_in=0, seed=0, num_changes=0)
         with pytest.raises(ValueError):
             # unknown-count mode requires room for the boundary move cases
-            McmcConfig(iterations=10, burn_in=0, seed=0, depth=1, ell_max=1)
+            McmcConfig(iterations=10, burn_in=0, seed=0, ell_max=1)
 
 
 class TestProposeFixed:
@@ -213,27 +216,27 @@ class TestEquispaced:
 
 class TestRun:
     def test_seed_determinism(self, switch_sequence):
-        cfg = McmcConfig(iterations=2000, burn_in=100, seed=42, depth=1, ell_max=2)
-        t1 = b.run(switch_sequence, cfg)
-        t2 = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=2000, burn_in=100, seed=42, ell_max=2)
+        t1 = b.run(switch_sequence, SWITCH_PARAMS, cfg)
+        t2 = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         assert t1.states == t2.states
         assert t1.accepted == t2.accepted
 
     def test_fixed_mode_keeps_count(self, switch_sequence):
-        cfg = McmcConfig(iterations=3000, burn_in=0, seed=1, depth=1, num_changes=2)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=3000, burn_in=0, seed=1, num_changes=2)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         assert all(len(pos) == 2 for pos in trace.states)
 
     def test_variable_mode_stays_in_range(self, switch_sequence):
-        cfg = McmcConfig(iterations=5000, burn_in=0, seed=2, depth=1, ell_max=3)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=5000, burn_in=0, seed=2, ell_max=3)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         ells = {len(pos) for pos in trace.states}
         assert ells <= {0, 1, 2, 3}
         assert sum(trace.ell_hist.values()) == trace.retained == len(trace.states)
 
     def test_visited_states_have_finite_posterior(self, switch_sequence):
-        cfg = McmcConfig(iterations=5000, burn_in=0, seed=3, depth=1, ell_max=3)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=5000, burn_in=0, seed=3, ell_max=3)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         evidence = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
         for pos in set(trace.states):
             cp = ChangePoints(switch_sequence.n, pos)
@@ -260,7 +263,8 @@ class TestRun:
             x = switch_sequence
         else:
             x, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1, depth=4))
-        trace = b.run(x, McmcConfig(**settings))
+        config = McmcConfig(**{k: v for k, v in settings.items() if k != "depth"})
+        trace = b.run(x, BctHyperParams(x.alphabet.size, settings["depth"]), config)
         record = json.dumps([
             trace.states,
             sorted(trace.accepted.items()),
@@ -271,9 +275,9 @@ class TestRun:
 
     def test_thinning_and_burn_in(self, switch_sequence):
         cfg = McmcConfig(
-            iterations=1000, burn_in=200, seed=4, depth=1, ell_max=2, thinning=10
+            iterations=1000, burn_in=200, seed=4, ell_max=2, thinning=10
         )
-        trace = b.run(switch_sequence, cfg)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         assert trace.retained == 80
         buf = io.StringIO()
         trace.write_csv(buf)
@@ -281,10 +285,10 @@ class TestRun:
         assert iterations == list(range(200, 1000, 10))
 
     def test_streaming_mode_matches_histograms(self, switch_sequence, monkeypatch):
-        cfg = McmcConfig(iterations=2000, burn_in=100, seed=5, depth=1, ell_max=2)
-        full = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=2000, burn_in=100, seed=5, ell_max=2)
+        full = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         monkeypatch.setattr(mcmc, "STREAMING_STATE_LIMIT", 10)
-        slim = b.run(switch_sequence, cfg)
+        slim = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         assert slim.states is None
         assert slim.ell_hist == full.ell_hist and slim.loc_hist == full.loc_hist
         assert slim.rank_hists == full.rank_hists
@@ -295,22 +299,22 @@ class TestRun:
         # grow with the states the chain visits, not with n
         rng = np.random.default_rng(0)
         x = b.split_context(rng.integers(0, 2, size=20_001), 1, b.Alphabet.of_size(2))
-        cfg = McmcConfig(iterations=200, burn_in=100, seed=1, depth=1, ell_max=2)
-        assert len(pickle.dumps(b.run(x, cfg))) < 8 * 1024
+        cfg = McmcConfig(iterations=200, burn_in=100, seed=1, ell_max=2)
+        assert len(pickle.dumps(b.run(x, SWITCH_PARAMS, cfg))) < 8 * 1024
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_count_cap_must_fit_the_series(self, n):
         x = b.split_context(np.arange(n + 1) % 2, 1, b.Alphabet.of_size(2))
-        cfg = McmcConfig(iterations=20, burn_in=0, seed=0, depth=1, ell_max=2)
+        cfg = McmcConfig(iterations=20, burn_in=0, seed=0, ell_max=2)
         if n < 7:
             with pytest.raises(ValueError, match="do not fit"):
-                b.run(x, cfg)
+                b.run(x, SWITCH_PARAMS, cfg)
         else:
-            assert b.run(x, cfg).retained == 20
+            assert b.run(x, SWITCH_PARAMS, cfg).retained == 20
 
     def test_trace_csv_layout(self, switch_sequence):
-        cfg = McmcConfig(iterations=50, burn_in=0, seed=7, depth=1, ell_max=2)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=50, burn_in=0, seed=7, ell_max=2)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         buf = io.StringIO()
         trace.write_csv(buf)
         lines = buf.getvalue().strip().split("\n")
@@ -323,8 +327,8 @@ class TestStationarity:
     def test_fixed_chain_matches_exact_posterior(self, switch_sequence):
         params = BctHyperParams(2, 1)
         exact = b.exact_single_cp_posterior(switch_sequence, params)
-        cfg = McmcConfig(iterations=40_000, burn_in=2000, seed=9, depth=1, num_changes=1)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=40_000, burn_in=2000, seed=9, num_changes=1)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         emp = np.zeros(switch_sequence.n - 2)
         for pos in trace.states:
             emp[pos[0] - 2] += 1
@@ -334,8 +338,8 @@ class TestStationarity:
     def test_variable_chain_matches_joint_posterior(self, switch_sequence):
         params = BctHyperParams(2, 1)
         configs, exact = exhaustive_joint_posterior(switch_sequence, params, 2)
-        cfg = McmcConfig(iterations=60_000, burn_in=2000, seed=10, depth=1, ell_max=2)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=60_000, burn_in=2000, seed=10, ell_max=2)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         emp = empirical_distribution(trace.states, configs)
         assert total_variation(emp, exact) < 0.05
 
@@ -353,8 +357,8 @@ class TestSummarize:
         assert s.loc_hist == {5: 10, 11: 10}
 
     def test_masses_match_retained(self, switch_sequence):
-        cfg = McmcConfig(iterations=4000, burn_in=500, seed=11, depth=1, ell_max=2)
-        trace = b.run(switch_sequence, cfg)
+        cfg = McmcConfig(iterations=4000, burn_in=500, seed=11, ell_max=2)
+        trace = b.run(switch_sequence, SWITCH_PARAMS, cfg)
         s = b.summarize(trace)
         assert sum(s.ell_hist.values()) == s.retained
         pooled = sum(ell * c for ell, c in s.ell_hist.items())
@@ -362,8 +366,8 @@ class TestSummarize:
 
     def test_pools_chains(self, switch_sequence):
         traces = [
-            b.run(switch_sequence, McmcConfig(
-                iterations=1500, burn_in=100, seed=s, depth=1, ell_max=2
+            b.run(switch_sequence, SWITCH_PARAMS, McmcConfig(
+                iterations=1500, burn_in=100, seed=s, ell_max=2
             ))
             for s in (21, 22)
         ]

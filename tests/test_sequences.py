@@ -54,6 +54,10 @@ class TestParseFasta:
         with pytest.raises(ParseError):
             b.parse_fasta(b"ACGT")
 
+    def test_byte_order_mark_skipped(self):
+        assert b.parse_fasta(b"\xef\xbb\xbf>h\nACGT") == [0, 1, 2, 3]
+        assert b.parse_fasta("\ufeff>h\nACGT") == [0, 1, 2, 3]
+
 
 class TestParsePlain:
     def test_per_char(self, binary_alphabet):

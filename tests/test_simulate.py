@@ -16,6 +16,8 @@ from bctseg import Alphabet, NumericalError, PiecewiseSpec, SegmentSpec, TreeMod
 from helpers import (
     dense_stationary_marginal,
     exact_stationary_marginal,
+    leaf_for,
+    sample_next,
     solve_stationary_dense,
     window_kernel,
 )
@@ -146,7 +148,7 @@ def generate_by_steps(spec):
     history = list(spec.initial_context)
     for seg in spec.segments:
         for _ in range(seg.length):
-            history.append(b.sample_next(seg.model, history, rng))
+            history.append(sample_next(seg.model, history, rng))
     return history[spec.depth :]
 
 
@@ -155,7 +157,7 @@ class TestSampleNext:
         model = iid_model([0.0, 1.0])
         rng = np.random.default_rng(0)
         for hist in ([0, 0, 0], [1, 0], [1, 1, 1, 1]):
-            assert b.sample_next(model, hist, rng) == 1
+            assert sample_next(model, hist, rng) == 1
 
     def test_suffix_selects_leaf(self):
         # recent symbols ..1,1 must drive the draw through theta_(1,1)
@@ -164,21 +166,21 @@ class TestSampleNext:
             alpha, {"0": [1.0, 0.0], "10": [1.0, 0.0], "11": [0.0, 1.0]}
         )
         rng = np.random.default_rng(1)
-        assert b.sample_next(model, [0, 1, 1], rng) == 1
-        assert b.sample_next(model, [1, 1, 0], rng) == 0
+        assert sample_next(model, [0, 1, 1], rng) == 1
+        assert sample_next(model, [1, 1, 0], rng) == 0
 
     def test_ternary_depth_one_row(self):
         # the third benchmark regime: a history ending in 2 draws from (0.3, 0.2, 0.5)
         spec = b.ternary_benchmark_spec()
         model = spec.segments[2].model
-        leaf = model.leaf_for([0, 1, 2])
+        leaf = leaf_for(model, [0, 1, 2])
         assert leaf == (2,)
         assert np.allclose(model.theta(leaf), [0.3, 0.2, 0.5])
 
     def test_draws_follow_theta(self):
         model = iid_model([0.2, 0.5, 0.3])
         rng = np.random.default_rng(2)
-        draws = np.array([b.sample_next(model, [0], rng) for _ in range(20_000)])
+        draws = np.array([sample_next(model, [0], rng) for _ in range(20_000)])
         freq = np.bincount(draws, minlength=3) / draws.size
         assert np.abs(freq - [0.2, 0.5, 0.3]).max() < 0.02
 
@@ -469,7 +471,7 @@ class TestClosure:
             for code in range(m**depth):
                 window = [code // m**i % m for i in range(depth)][::-1]
                 i = closure_state_of(index, window)
-                assert leaves[i] == model.leaf_for(window)
+                assert leaves[i] == leaf_for(model, window)
                 for a in range(m):
                     assert succ[i, a] == closure_state_of(index, window[1:] + [a])
 
@@ -517,7 +519,7 @@ class TestSpecJson:
             seed=8,
         )
         x, truth = b.generate_piecewise(spec)
-        cfg = b.McmcConfig(iterations=20_000, burn_in=2000, seed=12, depth=1, ell_max=3)
-        summary = b.summarize(b.run(x, cfg))
+        cfg = b.McmcConfig(iterations=20_000, burn_in=2000, seed=12, ell_max=3)
+        summary = b.summarize(b.run(x, b.BctHyperParams(2, 1), cfg))
         assert summary.map_ell == 1
         assert abs(summary.map_positions[0] - truth[0]) <= 10

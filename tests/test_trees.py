@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,11 +20,22 @@ from bctseg.trees import (
     span_log_evidence,
 )
 
+import helpers
 from helpers import (
+    alpha,
+    brute_force_evidence,
+    contexts_at_depth,
     count_contexts_by_hand,
+    count_proper_trees,
+    count_vector,
     enumerate_map_score,
+    enumerate_proper_trees,
     kt_log_prob_product,
+    leaf_for,
+    log_pw_at,
     model_score,
+    tree_log_prior,
+    tree_log_score,
 )
 
 random_binary = st.lists(st.integers(0, 1), min_size=4, max_size=60)
@@ -42,7 +54,7 @@ class TestHyperParams:
     def test_alpha_consistent(self):
         for m in (2, 3, 4, 6):
             p = BctHyperParams(m, 2)
-            assert p.alpha ** (m - 1) == pytest.approx(1 - p.beta, abs=1e-14)
+            assert alpha(p) ** (m - 1) == pytest.approx(1 - p.beta, abs=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -58,6 +70,12 @@ class TestHyperParams:
         assert repr(p) == "BctHyperParams(m=3, depth=2, beta=0.75)"
         assert p == BctHyperParams(3, 2, 0.75) != BctHyperParams(3, 2, 0.5)
         assert hash(p) == hash((3, 2, 0.75))
+
+    def test_pickle_round_trip(self):
+        # --chains sends the parameters to each worker process
+        for p in (BctHyperParams(3, 10), BctHyperParams(2, 1, 0.3)):
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and back.beta == p.beta
 
 
 class TestKtLogProb:
@@ -170,27 +188,33 @@ class TestBuildCounts:
             with pytest.raises(ValueError, match="initial context length must equal"):
                 CountTree.from_sequence(seq, BctHyperParams(2, depth))
 
+    def test_alphabet_size_must_equal_m(self):
+        seq = make_seq([0, 1, 2, 0, 1], 1, m=3)
+        for m in (2, 4):
+            with pytest.raises(ValueError, match=f"alphabet of 3 symbols, the parameters m = {m}"):
+                CountTree.from_sequence(seq, BctHyperParams(m, 1))
+
     def test_single_transition(self):
         seq = make_seq([0, 1], 1)
         tree = CountTree.from_sequence(seq, BctHyperParams(2, 1))
-        assert list(tree.count_vector(())) == [0, 1]
-        assert list(tree.count_vector((0,))) == [0, 1]
+        assert list(count_vector(tree, ())) == [0, 1]
+        assert list(count_vector(tree, (0,))) == [0, 1]
 
     def test_hand_recounted_example(self):
         # context=[1], obs=[0,1,0]: recount every (i, d) pair by hand/oracle
         seq = make_seq([1, 0, 1, 0], 1)
         tree = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         oracle = count_contexts_by_hand([1], [0, 1, 0], 1, 2)
-        assert list(tree.count_vector(())) == oracle[()] == [2, 1]
-        assert list(tree.count_vector((1,))) == oracle[(1,)] == [2, 0]
-        assert list(tree.count_vector((0,))) == oracle[(0,)] == [0, 1]
+        assert list(count_vector(tree, ())) == oracle[()] == [2, 1]
+        assert list(count_vector(tree, (1,))) == oracle[(1,)] == [2, 0]
+        assert list(count_vector(tree, (0,))) == oracle[(0,)] == [0, 1]
 
     def test_root_total_at_genome_scale(self):
         rng = np.random.default_rng(3)
         raw = rng.integers(0, 4, size=5243)
         seq = b.split_context(raw, 10, b.Alphabet.dna())
         tree = CountTree.from_sequence(seq, BctHyperParams(4, 10))
-        assert int(tree.count_vector(()).sum()) == seq.n == 5233
+        assert int(count_vector(tree, ()).sum()) == seq.n == 5233
 
     @settings(derandomize=True, max_examples=40)
     @given(random_binary, st.integers(1, 3))
@@ -201,9 +225,9 @@ class TestBuildCounts:
         tree = CountTree.from_sequence(seq, BctHyperParams(2, depth))
         oracle = count_contexts_by_hand(raw[:depth], raw[depth:], depth, 2)
         for s, vec in oracle.items():
-            assert list(tree.count_vector(s)) == vec
+            assert list(count_vector(tree, s)) == vec
         for d in range(depth + 1):
-            for ctx, vec in tree.contexts_at_depth(d):
+            for ctx, vec in contexts_at_depth(tree, d):
                 assert list(vec) == oracle[ctx]
 
     @settings(derandomize=True, max_examples=40)
@@ -214,8 +238,8 @@ class TestBuildCounts:
         seq = make_seq(raw, depth)
         tree = CountTree.from_sequence(seq, BctHyperParams(2, depth))
         for d in range(depth):
-            for ctx, vec in tree.contexts_at_depth(d):
-                total = sum(tree.count_vector(ctx + (j,)) for j in range(2))
+            for ctx, vec in contexts_at_depth(tree, d):
+                total = sum(count_vector(tree, ctx + (j,)) for j in range(2))
                 assert list(total) == list(vec)
 
 
@@ -224,7 +248,7 @@ class TestCtwEvidence:
         seq = make_seq([0, 1, 1, 0, 1], 0)
         params = BctHyperParams(2, 0)
         tree = CountTree.from_sequence(seq, params)
-        root = tree.count_vector(())
+        root = count_vector(tree, ())
         assert tree.log_evidence() == pytest.approx(b.kt_log_prob(root), abs=1e-14)
 
     def test_matches_brute_force_random_beta(self):
@@ -237,7 +261,7 @@ class TestCtwEvidence:
             seq = make_seq(raw, depth)
             params = BctHyperParams(2, depth, beta)
             assert CountTree.from_sequence(seq, params).log_evidence() == pytest.approx(
-                b.brute_force_evidence(seq, params), abs=1e-10
+                brute_force_evidence(seq, params), abs=1e-10
             )
 
     def test_total_probability_one(self):
@@ -276,11 +300,11 @@ class TestCtwEvidence:
         params = BctHyperParams(2, 3, 0.37)
         tree = CountTree.from_sequence(seq, params)
         for d in range(4):
-            for ctx, vec in tree.contexts_at_depth(d):
+            for ctx, vec in contexts_at_depth(tree, d):
                 lower = params.log_beta + b.kt_log_prob(vec)
                 if d == 3:
                     lower = b.kt_log_prob(vec)
-                assert tree.log_pw_at(ctx) >= lower - 1e-12
+                assert log_pw_at(tree, ctx) >= lower - 1e-12
 
 
 class TestMapTree:
@@ -324,7 +348,7 @@ class TestMapTree:
         model = b.map_tree(seq, BctHyperParams(2, 1), with_params=True)
         counts = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         for leaf in model.leaves:
-            expect = b.leaf_posterior_mean(counts.count_vector(leaf))
+            expect = b.leaf_posterior_mean(count_vector(counts, leaf))
             assert np.allclose(model.theta(leaf), expect, atol=1e-15)
 
 
@@ -360,7 +384,7 @@ class TestPinnedResults:
         tree = CountTree.from_arrays(codes, params)
         model = tree.map_model(with_params=True)
         if params.beta < 0.5:  # the default beta expands no data-free subtree
-            assert any(not tree.count_vector(s).any() for s in model.leaves)
+            assert any(not count_vector(tree, s).any() for s in model.leaves)
         blob = repr(tree.log_evidence()) + json.dumps(
             model.to_json(b.Alphabet.of_size(m)), sort_keys=True
         )
@@ -404,9 +428,7 @@ class TestPinnedResults:
         blob = json.dumps(model.to_json(b.Alphabet.of_size(m)), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
         # the read-out tree scores what the bottom-up pass says the best one does
-        score = b.tree_log_prior(model.leaves, params) + sum(
-            b.kt_log_prob(tree.count_vector(s)) for s in model.leaves
-        )
+        score = tree_log_score(tree, model.leaves)
         assert score == pytest.approx(tree.root_log_pm(), abs=1e-10)
 
     def test_slices_match_pinned_digest(self):
@@ -532,15 +554,15 @@ class TestContextNodes:
             assert [c.size for c in tree._codes] == [1] + [0] * depth
             assert tree._depth_rows == [0] + [1] * (depth + 1)
             assert tree._all_counts.shape == (1, m)
-            assert not tree.count_vector(()).any()
+            assert not count_vector(tree, ()).any()
 
 
 class TestBruteForce:
     def test_depth_zero_equals_kt(self):
         seq = make_seq([1, 0, 1], 0)
         params = BctHyperParams(2, 0)
-        root = CountTree.from_sequence(seq, params).count_vector(())
-        assert b.brute_force_evidence(seq, params) == pytest.approx(
+        root = count_vector(CountTree.from_sequence(seq, params), ())
+        assert brute_force_evidence(seq, params) == pytest.approx(
             b.kt_log_prob(root), abs=1e-14
         )
 
@@ -548,16 +570,16 @@ class TestBruteForce:
         # |T(3)| must match the recurrence and the prior must sum to one
         for depth in (1, 2, 3):
             params = BctHyperParams(2, depth, 0.41)
-            trees = b.enumerate_proper_trees(2, depth)
-            assert len(trees) == b.count_proper_trees(2, depth)
-            total = sum(math.exp(b.tree_log_prior(t, params)) for t in trees)
+            trees = enumerate_proper_trees(2, depth)
+            assert len(trees) == count_proper_trees(2, depth)
+            total = sum(math.exp(tree_log_prior(t, params)) for t in trees)
             assert total == pytest.approx(1.0, abs=1e-12)
-        assert b.count_proper_trees(2, 3) == 26
+        assert count_proper_trees(2, 3) == 26
 
     def test_enumeration_guard(self, monkeypatch):
-        monkeypatch.setattr(trees, "ENUMERATION_MAX_TREES", 1000)
+        monkeypatch.setattr(helpers, "ENUMERATION_MAX_TREES", 1000)
         with pytest.raises(ValueError, match="too large"):
-            b.enumerate_proper_trees(2, 6)
+            enumerate_proper_trees(2, 6)
 
 
 class TestLeafPosteriorMean:
@@ -588,15 +610,15 @@ class TestTreeModel:
             [(0,), (1, 0), (1, 1)],
             {(0,): [0.5, 0.5], (1, 0): [0.9, 0.1], (1, 1): [0.2, 0.8]},
         )
-        assert model.leaf_for([1, 1, 1]) == (1, 1)
-        assert model.leaf_for([0, 1, 1]) == (1, 1)
-        assert model.leaf_for([1, 0]) == (0,)
-        assert model.leaf_for([1, 1, 0]) == (0,)
+        assert leaf_for(model, [1, 1, 1]) == (1, 1)
+        assert leaf_for(model, [0, 1, 1]) == (1, 1)
+        assert leaf_for(model, [1, 0]) == (0,)
+        assert leaf_for(model, [1, 1, 0]) == (0,)
 
     def test_history_too_short(self):
         model = TreeModel(2, [(0,), (1, 0), (1, 1)])
         with pytest.raises(ValueError, match="too short"):
-            model.leaf_for([1])
+            leaf_for(model, [1])
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
