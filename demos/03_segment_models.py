@@ -32,7 +32,7 @@ for view in b.partition(x, cp):
     print(f"  stationary symbol frequencies: {np.round(marginal, 3)}")
     shallowest = sorted(model.leaves, key=len)[:4]
     for leaf in shallowest:
-        label = "".join(str(c) for c in leaf) or "(root)"
+        label = x.alphabet.join(leaf) or "(root)"
         probs = np.round(model.theta(leaf), 3)
         print(f"    context {label:>6}: next-symbol probabilities {probs}")
     print()

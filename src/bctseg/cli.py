@@ -36,6 +36,7 @@ from .sequences import (
     Alphabet,
     ParseError,
     Sequence,
+    format_plain,
     parse_csv,
     parse_fasta,
     parse_plain,
@@ -197,24 +198,9 @@ def _load_sequence(path: str, depth: int, alphabet_arg: str | None):
     head = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
     is_fasta = path.lower().endswith((".fa", ".fasta", ".fna")) or head == b">"
     alphabet = _resolve_alphabet(alphabet_arg, is_fasta)
-    if is_fasta:
-        mapping = {lab.upper(): i for i, lab in enumerate(alphabet.labels)}
-        # FASTA symbols are single characters read without case, so no
-        # other label may match them
-        for i, lab in enumerate(alphabet.labels):
-            if len(lab) != 1:
-                raise ValueError(f"alphabet label {lab!r} is not one character, "
-                                 "as FASTA symbols are")
-            if mapping[lab.upper()] != i:
-                raise ValueError(f"alphabet label {lab!r} differs from "
-                                 f"{alphabet.labels[mapping[lab.upper()]]!r} only in case, "
-                                 "and FASTA symbols are read without case")
-        raw = parse_fasta(data, mapping)
-    elif path.lower().endswith(".csv"):
-        raw = parse_csv(data, alphabet)
-    else:
-        raw = parse_plain(data, alphabet)
-    return split_context(raw, depth, alphabet), digest
+    parse = (parse_fasta if is_fasta
+             else parse_csv if path.lower().endswith(".csv") else parse_plain)
+    return split_context(parse(data, alphabet), depth, alphabet), digest
 
 
 def _load_model_input(args):
@@ -458,11 +444,9 @@ def cmd_generate(args) -> dict:
         spec = dataclasses.replace(spec, seed=args.seed)
     seq, truth = generate_piecewise(spec)
 
-    labels = seq.alphabet.labels
-    joiner = "" if all(len(lab) == 1 for lab in labels) else "\n"
-    full = seq.full_codes().tolist()
+    text = format_plain(seq.full_codes().tolist(), seq.alphabet)
     files = {
-        "sequence.txt": lambda fh: fh.write(joiner.join(labels[c] for c in full) + "\n"),
+        "sequence.txt": lambda fh: fh.write(text),
         "changepoints.json": _json(
             {"n": seq.n, "depth": spec.depth, "change_points": list(truth),
              "seed": spec.seed}

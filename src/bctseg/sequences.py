@@ -7,8 +7,6 @@ import io
 
 import numpy as np
 
-DNA_LABELS = ("A", "C", "G", "T")
-
 
 class ParseError(ValueError):
     """An input file could not be mapped onto the requested alphabet."""
@@ -33,7 +31,7 @@ class Alphabet:
 
     @classmethod
     def dna(cls) -> "Alphabet":
-        return cls(DNA_LABELS)
+        return cls("ACGT")
 
     @classmethod
     def of_size(cls, m: int) -> "Alphabet":
@@ -49,6 +47,25 @@ class Alphabet:
             return self._index[token]
         except KeyError:
             raise ParseError(f"symbol {token!r} is not in the alphabet") from None
+
+    def join(self, codes) -> str:
+        """The labels of `codes` written end to end."""
+        return "".join(self.labels[c] for c in codes)
+
+    def split(self, text: str) -> tuple[int, ...]:
+        """Codes of labels written end to end, read greedily, longest label
+        first; `"λ"` reads as the root, `()`, unless it is a label itself."""
+        if text == "λ" and text not in self._index:
+            return ()
+        by_length = sorted(self.labels, key=len, reverse=True)
+        codes, i = [], 0
+        while i < len(text):
+            label = next((lab for lab in by_length if text.startswith(lab, i)), None)
+            if label is None:
+                raise ParseError(f"cannot decode context string {text!r} at offset {i}")
+            codes.append(self._index[label])
+            i += len(label)
+        return tuple(codes)
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.labels == other.labels
@@ -125,16 +142,25 @@ def _as_text(data) -> str:
     return data.removeprefix("\ufeff")
 
 
-def parse_fasta(data, mapping: dict[str, int] | None = None) -> list[int]:
-    """Symbol codes of the first record of a FASTA file.
-
-    Header and whitespace are discarded, lowercase bases are upcased, and only
-    the first record is read. Unmapped characters report their 0-based offset
-    within the record's sequence characters.
+def parse_fasta(data, alphabet: Alphabet | None = None) -> list[int]:
+    """Symbol codes of the first record of a FASTA file (`Alphabet.dna()` by
+    default). Header and whitespace are discarded, symbols and labels are
+    read without case, and only the first record is read. Unmapped
+    characters report their 0-based offset within the record's sequence
+    characters; a label that is not one character, or differs from another
+    only in case, raises ValueError.
     """
+    labels = (Alphabet.dna() if alphabet is None else alphabet).labels
+    mapping = {lab.upper(): i for i, lab in enumerate(labels)}
+    for i, lab in enumerate(labels):
+        if len(lab) != 1:
+            raise ValueError(f"alphabet label {lab!r} is not one character, "
+                             "as FASTA symbols are")
+        if mapping[lab.upper()] != i:
+            raise ValueError(f"alphabet label {lab!r} differs from "
+                             f"{labels[mapping[lab.upper()]]!r} only in case, "
+                             "and FASTA symbols are read without case")
     text = _as_text(data)
-    if mapping is None:
-        mapping = {lab: i for i, lab in enumerate(DNA_LABELS)}
     lines = text.splitlines()
     start = None
     for i, line in enumerate(lines):
@@ -168,14 +194,15 @@ def parse_fasta(data, mapping: dict[str, int] | None = None) -> list[int]:
 def parse_plain(data, alphabet: Alphabet) -> list[int]:
     """Symbol codes from plain text, one token per character or per line.
 
-    The two layouts are told apart by the presence of newlines between
-    tokens; surrounding whitespace never counts.
+    The layout is per line when newlines stand between tokens or some label
+    is longer than one character, as `format_plain` writes it; surrounding
+    whitespace never counts.
     """
     text = _as_text(data).strip()
     if not text:
         raise ParseError("empty input")
     codes: list[int] = []
-    if "\n" in text:
+    if "\n" in text or any(len(lab) > 1 for lab in alphabet.labels):
         for lineno, line in enumerate(text.splitlines(), start=1):
             tok = line.strip()
             if not tok:
@@ -195,6 +222,14 @@ def parse_plain(data, alphabet: Alphabet) -> list[int]:
     if not codes:
         raise ParseError("no symbols found")
     return codes
+
+
+def format_plain(codes, alphabet: Alphabet) -> str:
+    """The text `parse_plain` reads as `codes`, with a final newline: one
+    label per line when some label is longer than one character, else
+    labels end to end."""
+    sep = "\n" if any(len(lab) > 1 for lab in alphabet.labels) else ""
+    return sep.join(alphabet.labels[c] for c in codes) + "\n"
 
 
 def parse_csv(data, alphabet: Alphabet) -> list[int]:

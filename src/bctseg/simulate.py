@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import Alphabet, Sequence
-from .trees import TreeModel, parse_context_string
+from .trees import TreeModel
 
 MAX_STATES = 1_000_000  # largest FSM closure that _closure builds
 DRAW_CHUNK = 4096  # uniforms drawn at a time by generate_piecewise
@@ -241,8 +241,7 @@ def _recurrent_class(kernel) -> np.ndarray:
 
 def model_from_table(alphabet: Alphabet, table: dict[str, list[float]]) -> TreeModel:
     """Tree model from a mapping of leaf-context strings to probability rows."""
-    params = {parse_context_string(s, alphabet): vec for s, vec in table.items()}
-    return TreeModel(alphabet.size, params.keys(), params)
+    return TreeModel.from_json({"leaves": list(table), "params": table}, alphabet)
 
 
 def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
@@ -261,7 +260,7 @@ def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
     ctx = obj.get("initial_context")
     if ctx is not None:
         # the context string reads chronologically, oldest symbol first
-        ctx = parse_context_string(ctx, alphabet) if isinstance(ctx, str) else tuple(ctx)
+        ctx = alphabet.split(ctx) if isinstance(ctx, str) else tuple(ctx)
     return PiecewiseSpec(
         alphabet=alphabet,
         depth=depth,
@@ -287,13 +286,12 @@ def piecewise_spec_to_json(spec: PiecewiseSpec) -> dict:
     for seg in spec.segments:
         table = seg.model.to_json(spec.alphabet)["params"]
         segments.append({"contexts": table, "length": seg.length})
-    labels = spec.alphabet.labels
     return {
-        "alphabet": list(labels),
+        "alphabet": list(spec.alphabet.labels),
         "D": spec.depth,
         "segments": segments,
         "seed": spec.seed,
-        "initial_context": "".join(labels[c] for c in spec.initial_context),
+        "initial_context": spec.alphabet.join(spec.initial_context),
     }
 
 

@@ -38,7 +38,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import gammaln
 
-from .sequences import Alphabet, ParseError, Sequence
+from .sequences import Alphabet, Sequence
 
 MAP_MAX_LEAVES = 1_000_000  # largest MAP tree map_model returns
 
@@ -417,20 +417,18 @@ class TreeModel:
         leaf_set = frozenset(tuple(int(c) for c in s) for s in leaves)
         if not leaf_set:
             raise ValueError("a tree model needs at least one leaf")
-        nodes = set()
         for s in leaf_set:
             for c in s:
                 if not 0 <= c < m:
                     raise ValueError(f"symbol code {c} outside alphabet of size {m}")
-            for k in range(len(s) + 1):
-                nodes.add(s[:k])
-        internal = nodes - leaf_set
+        internal = {s[:k] for s in leaf_set for k in range(len(s))}
+        if clash := internal & leaf_set:
+            raise ValueError(f"improper tree: leaf {min(clash)!r} has leaves below it")
+        nodes = internal | leaf_set
         for s in internal:
             for j in range(m):
                 if s + (j,) not in nodes:
-                    raise ValueError(
-                        f"improper tree: node {s!r} is missing child symbol {j}"
-                    )
+                    raise ValueError(f"improper tree: node {s!r} is missing child symbol {j}")
         self.leaves = leaf_set
         self._nodes = frozenset(nodes)
         self.depth = max((len(s) for s in leaf_set), default=0)
@@ -468,56 +466,40 @@ class TreeModel:
     def to_json(self, alphabet: Alphabet) -> dict:
         if alphabet.size != self.m:
             raise ValueError("alphabet size does not match the model")
-
-        def render(s):
-            return "".join(alphabet.labels[c] for c in s)
-
         ordered = sorted(self._nodes, key=lambda s: (len(s), s))
+        leaves = sorted(self.leaves, key=lambda s: (len(s), s))
         obj = {
-            "contexts": [render(s) for s in ordered],
-            "leaves": [render(s) for s in sorted(self.leaves, key=lambda s: (len(s), s))],
+            "contexts": [alphabet.join(s) for s in ordered],
+            "leaves": [alphabet.join(s) for s in leaves],
         }
         if self.params is not None:
-            obj["params"] = {
-                render(s): [float(v) for v in self.params[s]]
-                for s in sorted(self.leaves, key=lambda s: (len(s), s))
-            }
+            obj["params"] = {alphabet.join(s): [float(v) for v in self.params[s]]
+                             for s in leaves}
         return obj
 
     @classmethod
     def from_json(cls, obj: dict, alphabet: Alphabet) -> "TreeModel":
-        leaves = [parse_context_string(s, alphabet) for s in obj["leaves"]]
-        params = None
-        if obj.get("params") is not None:
-            params = {
-                parse_context_string(s, alphabet): vec
-                for s, vec in obj["params"].items()
-            }
+        """The model of `to_json`'s layout, `params` optional; two strings
+        that name one context raise ValueError."""
+        leaves = _contexts(obj["leaves"], alphabet)
+        params = obj.get("params")
+        if params is not None:
+            params = dict(zip(_contexts(params, alphabet), params.values()))
         return cls(alphabet.size, leaves, params)
 
     def __repr__(self):
         return f"TreeModel(m={self.m}, leaves={self.size}, depth={self.depth})"
 
 
-def parse_context_string(s: str, alphabet: Alphabet) -> tuple[int, ...]:
-    """Decode a label-joined context string; '' and 'λ' denote the root."""
-    if s in ("", "λ"):
-        return ()
-    if all(len(lab) == 1 for lab in alphabet.labels):
-        return tuple(alphabet.code_of(ch) for ch in s)
-    # multi-character labels: greedy longest match
-    out = []
-    i = 0
-    by_length = sorted(alphabet.labels, key=len, reverse=True)
-    while i < len(s):
-        for lab in by_length:
-            if s.startswith(lab, i):
-                out.append(alphabet.code_of(lab))
-                i += len(lab)
-                break
-        else:
-            raise ParseError(f"cannot decode context string {s!r} at offset {i}")
-    return tuple(out)
+def _contexts(strings, alphabet: Alphabet) -> list[tuple[int, ...]]:
+    """The context each string names; raises ValueError when two name one."""
+    named = {}
+    for s in strings:
+        context = alphabet.split(s)
+        if context in named:
+            raise ValueError(f"context strings {named[context]!r} and {s!r} name one context")
+        named[context] = s
+    return list(named)
 
 
 # ------------------------------------------------------------------ operations

@@ -127,6 +127,19 @@ def enumerate_proper_trees(m: int, depth: int):
     return build(depth)
 
 
+def random_proper_tree(m: int, depth: int, rng, split: float = 0.5) -> list:
+    """Leaves of a random proper m-ary tree of depth <= `depth`: each node
+    above the cap splits with probability `split`."""
+    leaves, work = [], [()]
+    while work:
+        s = work.pop()
+        if len(s) < depth and rng.random() < split:
+            work += [s + (j,) for j in range(m)]
+        else:
+            leaves.append(s)
+    return leaves
+
+
 def tree_log_prior(leaves, params) -> float:
     """Log prior mass of a tree model: alpha**(|T|-1) * beta**(|T|-L_D)."""
     size = len(leaves)

@@ -379,6 +379,19 @@ class TestGenerate:
         assert run_cli("generate", spec_file, "--out", out) == 0
         assert capsys.readouterr().out == f"wrote {out / 'sequence.txt'} (4304 symbols)\n"
 
+    def test_one_symbol_of_longer_labels_reads_back(self, tmp_path):
+        # a one-token sequence.txt of multi-character labels used to be read
+        # one character at a time and exit 3
+        spec = {"alphabet": ["10", "11"], "D": 0, "seed": 3,
+                "segments": [{"contexts": {"": [0.0, 1.0]}, "length": 1}]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "gen") == 0
+        series = tmp_path / "gen" / "sequence.txt"
+        assert series.read_text() == "11\n"
+        assert run_cli("maptree", series, "--depth", 0, "--alphabet", "10,11",
+                       "--out", tmp_path / "run") == 0
+
     def test_bad_spec_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -594,6 +607,22 @@ class TestErrors:
         spec_file.write_text(json.dumps(spec))
         assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 2
         assert _error_lines(capsys) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("table, message", [
+        ({"0": [0.5, 0.5], "1": [0.5, 0.5], "00": [0.5, 0.5], "01": [0.5, 0.5]},
+         "leaf (0,) has leaves below it"),
+        ({"": [0.5, 0.5], "λ": [0.4, 0.6]}, "'' and 'λ' name one context"),
+    ], ids=["leaf-above-leaves", "two-rows-for-the-root"])
+    def test_table_that_is_not_one_tree_in_spec(self, tmp_path, capsys, table, message):
+        # the first used to generate 2,002 symbols and exit 0
+        spec = {"alphabet": ["0", "1"], "D": 2, "seed": 3,
+                "segments": [{"contexts": table, "length": 2000}]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli("generate", spec_file, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_leaf_parameter_in_spec(self, tmp_path, capsys):

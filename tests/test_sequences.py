@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bctseg as b
-from bctseg import Alphabet, ParseError
+from bctseg import Alphabet, ParseError, cli
+from bctseg.sequences import format_plain
 
 
 class TestAlphabet:
@@ -27,6 +28,43 @@ class TestAlphabet:
         # no input token can match such a label, yet it would count towards m
         with pytest.raises(ValueError, match="empty or blank"):
             Alphabet(labels)
+
+
+# labels that split(join(codes)) reads back: single characters ("λ" among
+# them), or longer labels none of which is the start of another
+single_char_labels = st.lists(st.sampled_from("01ACGTacgtλμ"), min_size=2, max_size=8,
+                              unique=True)
+prefix_free_labels = st.lists(st.text("abλ", min_size=1, max_size=4), min_size=2,
+                              max_size=6, unique=True).filter(
+    lambda labs: not any(p != q and q.startswith(p) for p in labs for q in labs))
+
+
+class TestAlphabetText:
+    @settings(derandomize=True, max_examples=150)
+    @given(st.one_of(single_char_labels, prefix_free_labels), st.data())
+    def test_split_and_parse_plain_invert_join_and_format_plain(self, labels, data):
+        alphabet = Alphabet(labels)
+        codes = tuple(data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=12)))
+        text = alphabet.join(codes)
+        assert text == "".join(labels[c] for c in codes)
+        assert alphabet.split(text) == codes
+        if codes:
+            assert b.parse_plain(format_plain(codes, alphabet), alphabet) == list(codes)
+
+    def test_lambda_is_the_root_unless_a_label(self):
+        assert Alphabet.of_size(2).split("λ") == ()
+        assert Alphabet.of_size(2).split("") == ()
+        assert Alphabet(["λ", "μ"]).split("λ") == (0,)
+        assert Alphabet(["λ", "μ"]).split("μλ") == (1, 0)
+
+    def test_longest_label_first(self):
+        alphabet = Alphabet(["1", "10", "0"])
+        assert alphabet.split("101") == (1, 0)
+        assert alphabet.split("1001") == (1, 2, 0)
+
+    def test_undecodable_reports_offset(self):
+        with pytest.raises(ParseError, match="offset 2"):
+            Alphabet(["ab", "c"]).split("abd")
 
 
 class TestParseFasta:
@@ -59,6 +97,29 @@ class TestParseFasta:
         assert b.parse_fasta("\ufeff>h\nACGT") == [0, 1, 2, 3]
 
 
+    @pytest.mark.parametrize("labels, body, want", [
+        ("acgt", ">h\nacGT\n", [0, 1, 2, 3]),
+        ("01", ">h\n0110\n1\n", [0, 1, 1, 0, 1]),
+        ("xYz", ">h\nXyZzy\n", [0, 1, 2, 2, 1]),
+    ], ids=["lower-case-dna", "binary", "mixed-case"])
+    def test_alphabet_reads_as_the_cli_reads(self, tmp_path, labels, body, want):
+        # the lower-case case used to raise "unmapped symbol 'a'"
+        assert b.parse_fasta(body.encode(), Alphabet(labels)) == want
+        path = tmp_path / "x.fa"
+        path.write_text(body)
+        x, _ = cli._load_sequence(str(path), 0, labels)
+        assert x.full_codes().tolist() == want
+
+    @pytest.mark.parametrize("labels, message", [
+        (["a", "A"], "'a' differs from 'A' only in case"),
+        (["A", "CG", "T"], "'CG' is not one character"),
+    ])
+    def test_labels_no_fasta_symbol_tells_apart(self, labels, message):
+        with pytest.raises(ValueError, match=message) as info:
+            b.parse_fasta(b">h\nACGT", Alphabet(labels))
+        assert not isinstance(info.value, ParseError)
+
+
 class TestParsePlain:
     def test_per_char(self, binary_alphabet):
         assert b.parse_plain(b"0101", binary_alphabet) == [0, 1, 0, 1]
@@ -76,6 +137,12 @@ class TestParsePlain:
     def test_empty(self, binary_alphabet):
         with pytest.raises(ParseError):
             b.parse_plain(b"  \n ", binary_alphabet)
+
+    @pytest.mark.parametrize("body", [b"10\n", b"10", b" 11 \n"])
+    def test_one_token_of_a_longer_label(self, body):
+        # a single-token file of multi-character labels is per line, as
+        # generate writes it; it used to be read one character at a time
+        assert b.parse_plain(body, Alphabet(["10", "11"])) == [int(body.strip() == b"11")]
 
 
 class TestParseCsv:

@@ -17,6 +17,7 @@ from helpers import (
     dense_stationary_marginal,
     exact_stationary_marginal,
     leaf_for,
+    random_proper_tree,
     sample_next,
     solve_stationary_dense,
     window_kernel,
@@ -493,6 +494,28 @@ class TestSpecJson:
         x2, t2 = b.generate_piecewise(back)
         assert t1 == t2
         assert np.array_equal(x1.observations, x2.observations)
+
+    @pytest.mark.parametrize("labels", [None, ["AA", "CC", "GT", "T"], ["λ", "μ", "ν", "ξ"]])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_spec_round_trip(self, seed, labels):
+        rng = np.random.default_rng(seed)
+        m, depth = 2 + seed % 3, 4
+        alphabet = Alphabet.of_size(m) if labels is None else Alphabet(labels[:m])
+        segments = []
+        for length in rng.integers(1, 50, size=3).tolist():
+            leaves = random_proper_tree(m, depth, rng)
+            model = TreeModel(m, leaves, {s: rng.dirichlet(np.ones(m)) for s in leaves})
+            segments.append(SegmentSpec(model, length))
+        spec = PiecewiseSpec(alphabet, depth, tuple(segments),
+                             tuple(rng.integers(0, m, size=depth).tolist()), seed=seed)
+        obj = json.loads(json.dumps(b.piecewise_spec_to_json(spec)))
+        back = b.piecewise_spec_from_json(obj)
+        assert (back.alphabet, back.depth, back.initial_context, back.seed) == (
+            spec.alphabet, spec.depth, spec.initial_context, spec.seed)
+        for got, want in zip(back.segments, spec.segments, strict=True):
+            assert got.length == want.length
+            assert got.model.to_json(alphabet) == want.model.to_json(alphabet)
+        assert b.piecewise_spec_to_json(back) == obj
 
     def test_alphabet_as_size(self):
         obj = {

@@ -603,6 +603,16 @@ class TestTreeModel:
         with pytest.raises(ValueError, match="improper"):
             TreeModel(2, [(0,), (1, 0)])
 
+    @pytest.mark.parametrize("leaves", [
+        [(0,), (1,), (0, 0), (0, 1)],
+        [(), (0,), (1,)],
+        [(0,), (1, 0), (1, 1), (1, 0, 0), (1, 0, 1)],
+    ])
+    def test_leaf_with_leaves_below_rejected(self, leaves):
+        # the first used to pass as a depth-2 model with 4 leaves
+        with pytest.raises(ValueError, match="has leaves below it"):
+            TreeModel(2, leaves)
+
     def test_walks_to_matching_suffix(self):
         # depth-3 cap, but the two most recent symbols decide: ...11 -> leaf (1,1)
         model = TreeModel(
@@ -650,3 +660,39 @@ class TestTreeModel:
         assert model.leaves == frozenset({()})
         empty = model.to_json(binary_alphabet)
         assert empty["leaves"] == [""]
+
+    def test_lambda_label_round_trip(self):
+        # "λ" names the root only when it is not a label; the leaf λ used to
+        # read back as the root
+        alphabet = b.Alphabet(["λ", "μ"])
+        model = TreeModel(2, [(0,), (1, 0), (1, 1)])
+        obj = model.to_json(alphabet)
+        assert obj["leaves"] == ["λ", "μλ", "μμ"]
+        assert TreeModel.from_json(obj, alphabet).leaves == model.leaves
+
+    @pytest.mark.parametrize("labels", [None, ["AA", "CC", "GT", "T"], ["λ", "μ", "ν", "ξ"]])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trees_round_trip(self, seed, labels):
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 3
+        alphabet = b.Alphabet.of_size(m) if labels is None else b.Alphabet(labels[:m])
+        leaves = helpers.random_proper_tree(m, 5, rng, split=0.6)
+        model = TreeModel(m, leaves, {s: rng.dirichlet(np.ones(m)) for s in leaves})
+        back = TreeModel.from_json(json.loads(json.dumps(model.to_json(alphabet))), alphabet)
+        assert back.leaves == model.leaves
+        for leaf in leaves:
+            assert np.array_equal(back.theta(leaf), model.theta(leaf))
+        assert back.to_json(alphabet) == model.to_json(alphabet)
+
+    @pytest.mark.parametrize("obj", [
+        {"leaves": ["", "λ"]},
+        {"leaves": [""], "params": {"": [0.5, 0.5], "λ": [0.4, 0.6]}},
+    ], ids=["leaves", "params"])
+    def test_two_strings_of_one_context_rejected(self, obj, binary_alphabet):
+        with pytest.raises(ValueError, match="'' and 'λ' name one context"):
+            TreeModel.from_json(obj, binary_alphabet)
+
+    def test_table_with_two_rows_for_one_context_rejected(self, binary_alphabet):
+        # model_from_table used to keep the second row and say nothing
+        with pytest.raises(ValueError, match="'' and 'λ' name one context"):
+            b.model_from_table(binary_alphabet, {"": [0.5, 0.5], "λ": [0.4, 0.6]})
