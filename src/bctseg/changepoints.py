@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .sequences import Sequence
-from .trees import BctHyperParams, check_fit, evidence_row, span_log_evidence
+from .trees import BctHyperParams, CountTree, check_fit, evidence_row, span_log_evidence
 
 NEG_INF = float("-inf")
 CACHE_CAPACITY = 1_000_000  # evidence values an EvidenceCache keeps
@@ -175,11 +175,16 @@ class EvidenceCache:
     hyperparameters, kept in an LRU store keyed by (start, end).
 
     A local move alters at most two segments, so nearly every factor of the
-    joint evidence is a hit. A miss on a segment that starts at 1 or ends at
-    n is read off the forward or reverse evidence row of the whole series
-    (n floats each, built from `x.full_codes()` at the first such miss); any
-    other segment is counted afresh from `x.segment_codes(start, end)`. Both
-    give the same value bit for bit.
+    joint evidence is a hit. `spans` serves all the segments of one
+    configuration: it looks each one up, then fills the misses. A miss on a
+    segment that starts at 1 or ends at n is read off the forward or reverse
+    evidence row of the whole series (n floats each, built from
+    `x.full_codes()` at the first such miss). Two misses on consecutive
+    segments that both stay clear of the series ends, as a moved
+    change-point between them leaves, are counted in one build of
+    `x.segment_codes` over both, cut into two parts at their boundary; any
+    other miss is counted afresh from `x.segment_codes(start, end)`. All
+    three give the same value bit for bit.
     """
 
     def __init__(self, x: Sequence, params: BctHyperParams):
@@ -210,22 +215,33 @@ class EvidenceCache:
         while len(store) > CACHE_CAPACITY:
             store.popitem(last=False)
 
-    def span(self, start: int, end: int) -> float:
-        """Log evidence of observations start..end (1-based, inclusive)."""
-        key = (start, end)
-        value = self.lookup(key)
-        if value is None:
-            x, params = self.x, self._params
+    def spans(self, segments) -> list[float]:
+        """Log evidence of each (start, end) segment of observations (1-based,
+        inclusive), in order: one lookup per segment, then one store per
+        miss."""
+        values = [self.lookup(key) for key in segments]
+        missed = [j for j, value in enumerate(values) if value is None]
+        x, params = self.x, self._params
+        for j in missed:
+            if values[j] is not None:  # the second part of a pair
+                continue
+            start, end = segments[j]
+            after = segments[j + 1] if j + 1 < len(values) and values[j + 1] is None else None
             if start == 1 or end == x.n:
                 reverse = start != 1
                 row = self._rows.get(reverse)
                 if row is None:
                     row = self._rows[reverse] = evidence_row(x.full_codes(), params, reverse)
-                value = row[start - 1 if reverse else end - 1]
+                values[j] = row[start - 1 if reverse else end - 1]
+            elif after is not None and after[0] == end + 1 and after[1] != x.n:
+                codes = x.segment_codes(start, after[1])
+                tree = CountTree.from_arrays(codes, params, (end - start + 1,))
+                values[j : j + 2] = tree.part_log_evidence()
             else:
-                value = span_log_evidence(x.segment_codes(start, end), params)
-            self.store(key, value)
-        return value
+                values[j] = span_log_evidence(x.segment_codes(start, end), params)
+        for j in missed:
+            self.store(segments[j], values[j])
+        return values
 
     @property
     def stats(self) -> dict:
@@ -241,8 +257,8 @@ def log_joint_evidence(cp: ChangePoints, evidence: EvidenceCache) -> float:
     """Sum of the per-segment log evidences, in segment order."""
     _check_length(cp, evidence.x)
     total = 0.0
-    for start, end in segment_spans(cp):
-        total += evidence.span(start, end)
+    for value in evidence.spans(segment_spans(cp)):
+        total += value
     return total
 
 
@@ -270,22 +286,23 @@ def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray
     Positions with zero prior weight come out exactly zero. Feasible because
     the single-change-point evidence factorises into just two segments per
     candidate position, 1..p-1 and p..n. Each of those segments occurs for
-    one position only, so both are counted afresh and no evidence value is
-    cached. Both gaps around the change-point must be at least 1, so below
-    five observations no position has prior mass.
+    one position only, so nothing is cached: one build of `x.full_codes()`
+    cut into two parts before observation p scores both segments, bit for
+    bit as two builds of their own codes would. Both gaps around the
+    change-point must be at least 1, so below five observations no position
+    has prior mass.
     """
     check_fit(x, params)
     n = x.n
     if n < 5:
         raise ValueError("need at least five observations")
+    codes = x.full_codes()
     logs = np.full(n - 2, NEG_INF)
     for p in range(2, n):
         lp = log_prior_positions(ChangePoints(n, (p,)))
         if lp == NEG_INF:
             continue
-        logs[p - 2] = lp + (
-            span_log_evidence(x.segment_codes(1, p - 1), params)
-            + span_log_evidence(x.segment_codes(p, n), params)
-        )
+        left, right = CountTree.from_arrays(codes, params, (p - 1,)).part_log_evidence()
+        logs[p - 2] = lp + (left + right)
     norm = logsumexp(logs)
     return np.exp(logs - norm)

@@ -176,7 +176,7 @@ def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
     return row_sum
 
 
-def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
+def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams, breaks=()):
     """The context tree of a code array that holds D context symbols and then
     L observations, laid out by one sort.
 
@@ -188,23 +188,31 @@ def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams):
     are consecutive runs inside its own. A node's code is its parent's code
     times m plus the symbol one step further back.
 
+    With `breaks` (see `CountTree.from_arrays`), the key of an observation
+    of part k holds k as a digit above its context, so the parts sort one
+    after another, each in the order it has alone, and share no node.
+
     Returns the keys in observation order, the sorted keys, and a (D+1) x L
     boolean array whose entry [d, i] says that sorted key i starts a depth-d
-    node. The first key starts one at every depth.
+    node. The first key of each part starts one at every depth.
     """
     m, D = params.m, params.depth
-    # context codes of depth D plus the next symbol must fit in an int64
-    if m ** (D + 1) >= 2**62:
+    # keys, part digit included, must fit in an int64; one part keeps a
+    # factor of two of headroom, so two parts fit wherever one does
+    if max(len(breaks) + 1, 2) * m ** (D + 1) > 2**63 - 1:
         raise ValueError("alphabet/depth combination overflows context codes")
     # the key of the observation at t is the window codes[t : t + D + 1]
     # weighted by m, m**2, .., m**D for the context and 1 for the observation
     weights = np.array([*(m**k for k in range(1, D + 1)), 1], dtype=np.int64)
     key = np.correlate(codes, weights, "valid") if L else np.zeros(0, dtype=np.int64)
+    for b in breaks:  # in place: no second key array
+        key[b:] += m ** (D + 1)
     ordered = np.sort(key)
-    # a key starts a depth-d node where its leading d digits differ from
-    # those of the key before it
+    # a key starts a depth-d node where its leading d digits, and with them
+    # its part, differ from those of the key before it
     opens = np.ones((D + 1, L), dtype=bool)
     opens[0, 1:] = False
+    opens[0, list(breaks)] = True
     prefix = ordered // m
     for d in range(D, 0, -1):
         np.not_equal(prefix[1:], prefix[:-1], out=opens[d, 1:])
@@ -236,11 +244,15 @@ class CountTree:
     digit = most recent symbol, so a node's children are consecutive). Every
     depth's counts come off the one sorted array and the recursion scores
     all nodes' KT terms at once, so a build and its evidence take a number of
-    numpy calls that grows with D but not with the data.
+    numpy calls that grows with D but not with the data. A build of several
+    parts (`from_arrays` with breaks) holds one such tree per part side by
+    side, part by part within each depth, and answers only
+    `part_log_evidence`.
     """
 
     def __init__(self, params, keys, opens, sizes, counts, n):
         self.params = params
+        self.parts = sizes[0]  # one root per part
         self._keys, self._opens = keys, opens  # the layout of _context_nodes
         # depth d holds rows _depth_rows[d] up to _depth_rows[d + 1]
         self._depth_rows = list(accumulate(sizes, initial=0))
@@ -258,7 +270,7 @@ class CountTree:
 
     @cached_property
     def _parents(self) -> np.ndarray:
-        """For each node below the root, its parent's place among the nodes
+        """For each node below the roots, its parent's place among the nodes
         one depth up: of the nodes from the first of its depth up to itself,
         those whose runs start a node one depth up too, counted, minus 1."""
         opens, rows = self._opens, np.array(self._depth_rows)
@@ -287,23 +299,33 @@ class CountTree:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def from_arrays(cls, codes: np.ndarray, params: BctHyperParams):
+    def from_arrays(cls, codes: np.ndarray, params: BctHyperParams, breaks=()):
         """Build from a code array of D = params.depth context symbols then
         the observations, as `Sequence.segment_codes` lays them out.
 
         Every observation is counted once at each depth 0..D; the context
         window may reach into the initial context.
+
+        `breaks`, increasing observation indices strictly inside the array,
+        cut the observations into parts: part k runs from breaks[k - 1] (or
+        0) up to breaks[k] (or the end), with the D symbols before it as its
+        context. Each part's nodes, counts and scores are those of a build of
+        its own codes, so `part_log_evidence` gives each part's evidence bit
+        for bit as that build's `log_evidence` does.
         """
         m, D = params.m, params.depth
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         n = codes.size - D
         if n < 0:
             raise ValueError("code array shorter than its context")
-        keys, opens = _context_nodes(codes, n, params)[1:]
+        edges = [0, *breaks, n]
+        if breaks and not all(a < b for a, b in zip(edges, edges[1:])):
+            raise ValueError("breaks must increase strictly inside the observations")
+        keys, opens = _context_nodes(codes, n, params, breaks)[1:]
         # the sorted position at which each node's run of keys starts: the
-        # root at 0, then the nodes below it, depth by depth
-        starts = np.concatenate(([0], np.flatnonzero(opens[1:]) % max(n, 1)))
-        sizes = [1, *np.count_nonzero(opens[1:], axis=1).tolist()]
+        # roots, one per part, then the nodes below them, depth by depth
+        starts = np.concatenate((edges[:-1], np.flatnonzero(opens[1:]) % max(n, 1)))
+        sizes = [len(edges) - 1, *np.count_nonzero(opens[1:], axis=1).tolist()]
         # a run's counts are the running counts per symbol where the next
         # run of its depth starts (at the end, n) minus those where it starts
         running = np.zeros((n + 1, m), dtype=np.int32)
@@ -341,7 +363,7 @@ class CountTree:
         scores[rows[D] :] = self._log_pe[rows[D] :]
         for d in range(D, 0, -1):
             a, b, c = rows[d - 1], rows[d], rows[d + 1]
-            parents = self._parents[b - 1 : c - 1]
+            parents = self._parents[b - self.parts : c - self.parts]
             # the children of a node in symbol order from m * absent[d], as
             # np.add.at sums them, with each observed child's term swapped in;
             # where absent[d] is 0.0 (every CTW depth, and the MAP pass at
@@ -355,13 +377,23 @@ class CountTree:
             combine(scores[a:b], l1b + child_sum, out=scores[a:b])
         return scores
 
+    def _one_part(self):
+        if self.parts > 1:
+            raise ValueError(f"the tree holds {self.parts} parts; use part_log_evidence")
+
     def log_evidence(self) -> float:
         """Log of the prior predictive likelihood: all tree models of depth
         <= D and all leaf parameters integrated out."""
+        self._one_part()
         return float(self._log_pw[0])
+
+    def part_log_evidence(self) -> list[float]:
+        """The log evidence of each part of the build, in part order."""
+        return self._log_pw[: self.parts].tolist()
 
     def root_log_pm(self) -> float:
         """Log posterior score of the maximising tree model."""
+        self._one_part()
         return float(self._log_pm[0])
 
     # --------------------------------------------------------------- MAP tree
@@ -374,6 +406,7 @@ class CountTree:
         node compares its maximised score with its stop term log beta + pe;
         an unobserved one (row -1, as are all its children) compares its
         data-free maximum with log beta."""
+        self._one_part()
         log_pm, log_pe = self._log_pm, self._log_pe
         m, D, lb = self.params.m, self.params.depth, self.params.log_beta
         empty = _empty_log_pm(self.params)

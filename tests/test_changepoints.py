@@ -18,6 +18,20 @@ def make_seq(raw, depth, m=2):
     return b.split_context(np.asarray(raw), depth, b.Alphabet.of_size(m))
 
 
+@pytest.fixture
+def build_breaks(monkeypatch):
+    """The breaks of every `CountTree.from_arrays` call, in call order."""
+    calls = []
+    from_arrays = b.CountTree.from_arrays.__func__
+
+    def recorded(cls, codes, params, breaks=()):
+        calls.append(tuple(breaks))
+        return from_arrays(cls, codes, params, breaks)
+
+    monkeypatch.setattr(b.CountTree, "from_arrays", classmethod(recorded))
+    return calls
+
+
 class TestChangePoints:
     def test_range_and_order(self):
         cp = ChangePoints(10, (4, 7))
@@ -202,6 +216,33 @@ class TestEvidenceCache:
             else:
                 b.run(x, params, b.McmcConfig(10, 0, seed=1, num_changes=1))
 
+    def test_spans_equal_one_at_a_time(self, ternary_alphabet, build_breaks):
+        # random configurations through one engine at once and through
+        # another one segment at a time: the same values and the same stats
+        # after every configuration, with some misses built in pairs
+        rng = np.random.default_rng(29)
+        raw = rng.choice(3, size=305, p=[0.5, 0.3, 0.2])
+        raw[150:] = (raw[150:] + 1) % 3
+        x = b.split_context(raw, 5, ternary_alphabet)
+        params = BctHyperParams(3, 5)
+        together, apart = EvidenceCache(x, params), EvidenceCache(x, params)
+        for _ in range(120):
+            ell = int(rng.integers(0, 5))
+            pos = sorted(rng.choice(np.arange(2, x.n), size=ell, replace=False))
+            segments = changepoints.segment_spans(ChangePoints(x.n, pos))
+            values = together.spans(segments)
+            assert values == [apart.spans([key])[0] for key in segments]
+            assert together.stats == apart.stats
+        assert sum(len(breaks) == 1 for breaks in build_breaks) > 10
+
+    def test_benchmark_chain_accounting(self):
+        # the ternary benchmark's chain: as many lookups, hits, misses and
+        # stored values whether or not two misses share a build
+        x, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1))
+        config = b.McmcConfig(iterations=1000, burn_in=500, seed=5, ell_max=10)
+        trace = b.run(x, BctHyperParams(3, 10), config)
+        assert trace.cache_stats == {"hits": 7405, "misses": 1226, "entries": 1226, "rows": 2}
+
 
 class TestJointEvidence:
     def test_single_segment_is_plain_evidence(self, switch_sequence):
@@ -330,6 +371,12 @@ class TestExactSingleCp:
         oracle = np.exp(logs - logsumexp(logs))
         oracle[np.isneginf(logs)] = 0.0
         assert total_variation(post, oracle) < 1e-10
+
+    def test_one_build_per_position(self, switch_sequence, build_breaks):
+        # both segments of a position come from one build in two parts;
+        # positions without prior mass are not scored
+        b.exact_single_cp_posterior(switch_sequence, BctHyperParams(2, 1))
+        assert build_breaks == [(p - 1,) for p in range(3, switch_sequence.n - 1)]
 
     def test_needs_four_observations(self):
         x = make_seq([0, 1, 0], 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import string
@@ -87,6 +88,26 @@ class TestExact:
         assert (out / "posterior.csv").exists()
         assert run_cli("exact", toy_binary, "--depth", 1, "--format", "json", "--out", out) == 0
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "posterior.json"]
+
+    # The bytes of posterior.csv at the deepest trees the context codes allow
+    # for m = 2 and m = 3, pinned before exact scored two segments per build:
+    # the part digit of such a build must not overflow where one tree fits.
+    @pytest.mark.parametrize(
+        "m, depth, seed, digest",
+        [
+            (2, 60, 3, "1d831361fe48cf953a282597b5812025f6c6cb487a8fbba30500c13266ebb138"),
+            (3, 38, 4, "82378b6fd7b190e634e699da52055de4e6eebb3e4afe60342c5627f5497d4269"),
+        ],
+    )
+    def test_exact_at_deepest_depth_keeps_its_bytes(self, tmp_path, m, depth, seed, digest):
+        raw = np.random.default_rng(seed).integers(0, m, size=depth + 40)
+        raw[depth + 20 :] = 0
+        series = tmp_path / "deep.txt"
+        series.write_text("".join(map(str, raw)) + "\n")
+        labels = ",".join(map(str, range(m)))
+        out = tmp_path / "run"
+        assert run_cli("exact", series, "--depth", depth, "--alphabet", labels, "--out", out) == 0
+        assert hashlib.sha256((out / "posterior.csv").read_bytes()).hexdigest() == digest
 
 
 class TestSegment:

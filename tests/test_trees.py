@@ -509,6 +509,89 @@ class TestEvidenceRow:
                 build()
 
 
+class TestPartBuilds:
+    # A build cut into parts must give each part the evidence of a build of
+    # the part's own codes, bit for bit: exact and the evidence cache mix
+    # the two and the tests compare them by ==.
+    @staticmethod
+    def parts_of(codes, depth, breaks):
+        edges = [0, *breaks, codes.size - depth]
+        return [codes[a : depth + b] for a, b in zip(edges, edges[1:])]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_each_part_equals_its_own_build(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            m, depth = int(rng.integers(2, 12)), int(rng.integers(0, 11))
+            L = int(rng.integers(2, 1501)) if seed % 4 else int(rng.integers(2, 40))
+            beta = None if seed % 3 else float(rng.uniform(0.05, 0.95))
+            codes = rng.integers(0, m, size=depth + L)
+            if seed % 2:  # a series skewed toward 0, so that contexts repeat
+                codes = (np.cumsum(codes) % m) * (codes % 2)
+            count = min(int(rng.integers(1, 3)), L - 1)
+            breaks = sorted(rng.choice(np.arange(1, L), size=count, replace=False).tolist())
+            params = BctHyperParams(m, depth, beta)
+            tree = CountTree.from_arrays(codes, params, breaks)
+            alone = [span_log_evidence(c, params) for c in self.parts_of(codes, depth, breaks)]
+            assert tree.parts == len(breaks) + 1
+            assert tree.part_log_evidence() == alone
+
+    @pytest.mark.parametrize(
+        "m, depth, beta, L, breaks",
+        [
+            (2, 0, None, 2, [1]),  # two parts of one observation each
+            (3, 10, None, 3, [1, 2]),  # three parts of one observation each
+            (4, 10, 0.3, 300, [1]),
+            (4, 10, None, 300, [299]),
+            (8, 3, None, 500, [250]),  # rows of 8 or more counts are summed pairwise
+            (11, 10, 0.7, 1500, [700, 701]),
+            (2, 60, None, 40, [20]),  # the deepest binary tree of the one-part limit
+            (3, 38, None, 40, [20]),
+        ],
+    )
+    def test_edge_cases(self, m, depth, beta, L, breaks):
+        codes = np.random.default_rng(m * depth + L).integers(0, m, size=depth + L)
+        params = BctHyperParams(m, depth, beta)
+        tree = CountTree.from_arrays(codes, params, breaks)
+        alone = [span_log_evidence(c, params) for c in self.parts_of(codes, depth, breaks)]
+        assert tree.part_log_evidence() == alone
+
+    def test_one_part_answers_as_before(self):
+        codes = TestPinnedResults.order_two_chain(3, 400, seed=2)
+        params = BctHyperParams(3, 10)
+        tree = CountTree.from_arrays(codes, params)
+        assert tree.parts == 1
+        assert tree.part_log_evidence() == [tree.log_evidence()]
+
+    def test_several_parts_have_no_single_answer(self):
+        codes = TestPinnedResults.order_two_chain(3, 60, seed=3)
+        tree = CountTree.from_arrays(codes, BctHyperParams(3, 4), (20,))
+        for ask in (tree.log_evidence, tree.root_log_pm, tree.map_model):
+            with pytest.raises(ValueError, match="2 parts"):
+                ask()
+
+    @pytest.mark.parametrize("breaks", [(0,), (56,), (57,), (-1,), (30, 30), (40, 20)])
+    def test_breaks_must_lie_inside_in_order(self, breaks):
+        # 60 codes at depth 4 hold 56 observations
+        codes = TestPinnedResults.order_two_chain(3, 60, seed=3)
+        with pytest.raises(ValueError, match="breaks must increase"):
+            CountTree.from_arrays(codes, BctHyperParams(3, 4), breaks)
+
+    def test_part_digit_overflow_rejected(self):
+        # two parts fit an int64 wherever one tree does; keys of k parts
+        # need k * m**(D + 1) <= 2**63 - 1
+        for m, depth, too_many in [(2, 60, 4), (3, 38, 3)]:
+            codes = np.arange(depth + 30) % m
+            params = BctHyperParams(m, depth)
+            fits = CountTree.from_arrays(codes, params, range(5, 5 * too_many - 5, 5))
+            assert fits.parts == too_many - 1
+            with pytest.raises(ValueError, match="overflows context codes"):
+                CountTree.from_arrays(codes, params, range(5, 5 * too_many, 5))
+        # one tree keeps its limit of m**(D + 1) < 2**62
+        with pytest.raises(ValueError, match="overflows context codes"):
+            CountTree.from_arrays(np.arange(91) % 2, BctHyperParams(2, 61))
+
+
 class TestContextNodes:
     # The one-sort layout must equal np.unique over context codes computed
     # directly from the symbols, most recent symbol as the leading digit.
