@@ -18,15 +18,11 @@ params = b.BctHyperParams(m=3, depth=10)
 cp = b.ChangePoints(x.n, truth)  # pretend the estimation step already ran
 print(f"series of n={x.n} with segments delimited at {truth}\n")
 
-for view in b.partition(x, cp):
-    seg = b.Sequence(x.alphabet, view.context, view.observations)
-    model = b.map_tree(seg, params, with_params=True)
+for index, (start, end) in enumerate(b.partition(x, cp), start=1):
+    model = b.CountTree.from_arrays(x.segment_codes(start, end), params).map_model()
     marginal = b.stationary_marginal(model)
-    true_depth = spec.segments[view.index - 1].model.depth
-    print(
-        f"segment {view.index}: observations {view.start}..{view.end} "
-        f"(length {view.length})"
-    )
+    true_depth = spec.segments[index - 1].model.depth
+    print(f"segment {index}: observations {start}..{end} (length {end - start + 1})")
     print(f"  MAP tree depth {model.depth} (generator depth {true_depth}), "
           f"{model.size} leaves")
     print(f"  stationary symbol frequencies: {np.round(marginal, 3)}")

@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 from .changepoints import (
     ChangePoints,
     EvidenceCache,
-    SegmentView,
     exact_single_cp_posterior,
     log_joint_evidence,
     log_posterior_unnorm,
     log_prior_count,
     log_prior_positions,
     partition,
-    segment_spans,
 )
 from .mcmc import (
     McmcConfig,
@@ -72,7 +70,6 @@ __all__ = [
     "ParseError",
     "PiecewiseSpec",
     "SegmentSpec",
-    "SegmentView",
     "Sequence",
     "Summary",
     "Trace",
@@ -99,7 +96,6 @@ __all__ = [
     "propose_fixed",
     "propose_variable",
     "run",
-    "segment_spans",
     "split_context",
     "stationary_marginal",
     "summarize",

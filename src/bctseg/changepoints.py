@@ -81,51 +81,14 @@ class ChangePoints:
         return ChangePoints(self.n, pos)
 
 
-@dataclass(frozen=True)
-class SegmentView:
-    """One homogeneous stretch of the observations with its initial context.
-
-    start/end are 1-based observation indices, both inclusive. The context
-    and observation arrays are views into the parent sequence.
-    """
-
-    index: int
-    start: int
-    end: int
-    context: np.ndarray
-    observations: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-
-def segment_spans(cp: ChangePoints) -> list[tuple[int, int]]:
-    """(start, end) observation-index pairs of the ell+1 segments."""
-    f = cp.full()
-    spans = []
-    for j in range(1, len(f)):
-        start = f[j - 1]
-        end = f[j] - 1 if j < len(f) - 1 else cp.n
-        spans.append((start, end))
-    return spans
-
-
-def _check_length(cp: ChangePoints, x: Sequence) -> None:
+def partition(x: Sequence, cp: ChangePoints) -> list[tuple[int, int]]:
+    """The (start, end) observation indices (1-based, inclusive) of the ell+1
+    segments that `cp` cuts the series `x` into; segment j's codes, initial
+    context included, are `x.segment_codes(start, end)`."""
     if cp.n != x.n:
         raise ValueError("change-points were built for a different series length")
-
-
-def partition(x: Sequence, cp: ChangePoints) -> list[SegmentView]:
-    """Split the observations into the ell+1 segments defined by `cp`; each
-    view's context and observations are `x.segment_codes(start, end)` cut
-    after its first `x.depth` symbols."""
-    _check_length(cp, x)
-    views = []
-    for j, (start, end) in enumerate(segment_spans(cp), start=1):
-        codes = x.segment_codes(start, end)
-        views.append(SegmentView(j, start, end, codes[: x.depth], codes[x.depth :]))
-    return views
+    f = cp.full()
+    return [(f[j - 1], f[j] - 1 if j < len(f) - 1 else cp.n) for j in range(1, len(f))]
 
 
 def log_gap_product(cp: ChangePoints) -> float:
@@ -255,9 +218,10 @@ class EvidenceCache:
 
 def log_joint_evidence(cp: ChangePoints, evidence: EvidenceCache) -> float:
     """Sum of the per-segment log evidences, in segment order."""
-    _check_length(cp, evidence.x)
+    # added one by one, left to right: from Python 3.12 on, sum() of floats
+    # is compensated and would change the last bits
     total = 0.0
-    for value in evidence.spans(segment_spans(cp)):
+    for value in evidence.spans(partition(evidence.x, cp)):
         total += value
     return total
 

@@ -35,7 +35,6 @@ from .mcmc import McmcConfig, run, summarize
 from .sequences import (
     Alphabet,
     ParseError,
-    Sequence,
     format_plain,
     parse_csv,
     parse_fasta,
@@ -386,26 +385,20 @@ def cmd_exact(args) -> dict:
     return dict(files={f"posterior.{args.format}": write}, digest=digest, resolved=resolved)
 
 
-def _fit_segment_models(x: Sequence, cp: ChangePoints, params: BctHyperParams):
-    # a function of its own so that the last count tree is freed before the
-    # caller builds its per-segment output (the stationary solve peaks there)
-    fitted = []
-    for view in partition(x, cp):
-        tree = CountTree.from_arrays(x.segment_codes(view.start, view.end), params)
-        fitted.append((view, tree.map_model(with_params=True)))
-    return fitted
-
-
 def _cmd_fit_segments(args, describe) -> dict:
     """Shared body of maptree and stationary: fit the MAP tree model of each
     segment and name one entry per segment for <command>.json, with the
     fields that `describe(model, alphabet)` returns."""
     x, params, digest, resolved = _load_model_input(args)
     cp = _parse_segment_list(args.segments, x.n)
-    fitted = _fit_segment_models(x, cp, params)
+    # one count tree alive at a time: each is freed once its MAP model is read off
+    fitted = [
+        (start, end, CountTree.from_arrays(x.segment_codes(start, end), params).map_model())
+        for start, end in partition(x, cp)
+    ]
     segments = [
-        {"start": view.start, "end": view.end, **describe(model, x.alphabet)}
-        for view, model in fitted
+        {"start": start, "end": end, **describe(model, x.alphabet)}
+        for start, end, model in fitted
     ]
     resolved["segments"] = list(cp.positions)
     files = {f"{args.command}.json": _json({"segments": segments}, indent=2)}

@@ -398,9 +398,9 @@ class CountTree:
 
     # --------------------------------------------------------------- MAP tree
 
-    def map_model(self, with_params: bool = False):
-        """The maximum a posteriori tree model, optionally with posterior-mean
-        next-symbol probabilities attached to its leaves.
+    def map_model(self) -> "TreeModel":
+        """The maximum a posteriori tree model, with the posterior-mean
+        next-symbol probabilities of its leaves.
 
         One top-down walk over the nodes of the bottom-up pass. An observed
         node compares its maximised score with its stop term log beta + pe;
@@ -427,13 +427,11 @@ class CountTree:
                 below = self._row(d + 1, child) if row >= 0 else -1
                 stack.append((below, child, d + 1, ctx + (j,)))
 
-        params = None
-        if with_params:
-            unseen = np.zeros(m, dtype=np.int64)
-            params = {
-                s: leaf_posterior_mean(self._all_counts[row] if row >= 0 else unseen)
-                for s, row in leaves.items()
-            }
+        unseen = np.zeros(m, dtype=np.int64)
+        params = {
+            s: leaf_posterior_mean(self._all_counts[row] if row >= 0 else unseen)
+            for s, row in leaves.items()
+        }
         return TreeModel(m, leaves, params)
 
 
@@ -611,6 +609,7 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
     return array("d", below[obs].tobytes())
 
 
-def map_tree(seq: Sequence, params: BctHyperParams, with_params: bool = False) -> TreeModel:
-    """The MAP tree model of the sequence under the hierarchical tree prior."""
-    return CountTree.from_sequence(seq, params).map_model(with_params=with_params)
+def map_tree(seq: Sequence, params: BctHyperParams) -> TreeModel:
+    """The MAP tree model of the sequence under the hierarchical tree prior,
+    with the posterior-mean next-symbol probabilities of its leaves."""
+    return CountTree.from_sequence(seq, params).map_model()

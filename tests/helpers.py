@@ -231,7 +231,7 @@ def reference_log_posterior(x, cp, params, ell_max=None) -> float:
         lp += b.log_prior_count(cp.ell, ell_max)
     y, D = x.full_codes(), params.depth
     evidence = 0.0
-    for start, end in b.segment_spans(cp):
+    for start, end in b.partition(x, cp):
         evidence += span_log_evidence(y[start - 1 : D + end], params)
     return lp + evidence
 

@@ -178,10 +178,10 @@ def test_criterion_6_lambda_map_depths():
     x = b.split_context(raw, 10, b.Alphabet.dna())
     params = BctHyperParams(4, 10)
     cp = ChangePoints(x.n, (22607, 27832, 38340, 46731))
-    depths = []
-    for view in b.partition(x, cp):
-        seg = b.Sequence(x.alphabet, view.context, view.observations)
-        depths.append(b.map_tree(seg, params).depth)
+    depths = [
+        b.CountTree.from_arrays(x.segment_codes(start, end), params).map_model().depth
+        for start, end in b.partition(x, cp)
+    ]
     elapsed = time.perf_counter() - t0
     report(
         6,
@@ -200,9 +200,8 @@ def test_criterion_7_el_nino():
     params = BctHyperParams(2, 5)
     cp = ChangePoints(x.n, (278, 467))
     marginals = []
-    for view in b.partition(x, cp):
-        seg = b.Sequence(alpha, view.context, view.observations)
-        model = b.map_tree(seg, params, with_params=True)
+    for start, end in b.partition(x, cp):
+        model = b.CountTree.from_arrays(x.segment_codes(start, end), params).map_model()
         marginals.append(b.stationary_marginal(model)[1])
     stationary_ok = all(
         abs(got - want) <= 0.03 for got, want in zip(marginals, (0.14, 0.35, 0.54))

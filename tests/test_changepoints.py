@@ -75,52 +75,36 @@ class TestChangePoints:
 class TestPartition:
     def test_no_change_points(self):
         x = make_seq([0, 1, 0, 1, 1], 1)
-        views = b.partition(x, ChangePoints(x.n))
-        assert len(views) == 1
-        assert (views[0].start, views[0].end) == (1, x.n)
+        assert b.partition(x, ChangePoints(x.n)) == [(1, x.n)]
 
     def test_three_segments(self):
         x = make_seq(list(np.zeros(12, dtype=int)), 2)
-        views = b.partition(x, ChangePoints(10, (4, 7)))
-        assert [(v.start, v.end) for v in views] == [(1, 3), (4, 6), (7, 10)]
+        assert b.partition(x, ChangePoints(10, (4, 7))) == [(1, 3), (4, 6), (7, 10)]
 
     def test_lengths_cover_series(self):
         x = make_seq(list(np.zeros(25, dtype=int)), 2)
-        views = b.partition(x, ChangePoints(23, (5, 9, 17)))
-        assert sum(v.length for v in views) == 23
+        spans = b.partition(x, ChangePoints(23, (5, 9, 17)))
+        assert sum(end - start + 1 for start, end in spans) == 23
 
     def test_contexts_are_preceding_symbols(self):
         rng = np.random.default_rng(0)
         raw = rng.integers(0, 2, size=33)
         x = make_seq(raw, 3)
         y = x.full_codes()
-        for view in b.partition(x, ChangePoints(30, (7, 19))):
-            got = list(view.context)
-            lo = view.start - 1
-            assert got == list(y[lo : lo + 3])
-            assert list(view.observations) == list(y[3 + view.start - 1 : 3 + view.end])
+        for start, end in b.partition(x, ChangePoints(30, (7, 19))):
+            codes = x.segment_codes(start, end)
+            lo = start - 1
+            assert list(codes[:3]) == list(y[lo : lo + 3])
+            assert list(codes[3:]) == list(y[3 + start - 1 : 3 + end])
 
     @settings(derandomize=True, max_examples=40)
     @given(st.sets(st.integers(2, 19), min_size=0, max_size=5))
     def test_coverage_disjoint(self, points):
         x = make_seq(list(np.zeros(22, dtype=int)), 2)
-        views = b.partition(x, ChangePoints(20, sorted(points)))
         seen = []
-        for v in views:
-            seen.extend(range(v.start, v.end + 1))
+        for start, end in b.partition(x, ChangePoints(20, sorted(points))):
+            seen.extend(range(start, end + 1))
         assert seen == list(range(1, 21))
-
-    def test_views_are_segment_codes_split_at_the_depth(self):
-        rng = np.random.default_rng(31)
-        for depth in (0, 1, 3):
-            x = make_seq(rng.integers(0, 3, size=40 + depth), depth, m=3)
-            for _ in range(20):
-                ell = int(rng.integers(0, 6))
-                pos = sorted(rng.choice(np.arange(2, x.n), size=ell, replace=False))
-                for view in b.partition(x, ChangePoints(x.n, pos)):
-                    codes = x.segment_codes(view.start, view.end)
-                    assert np.array_equal(view.context, codes[:depth])
-                    assert np.array_equal(view.observations, codes[depth:])
 
 
 class TestLocationPrior:
@@ -229,7 +213,7 @@ class TestEvidenceCache:
         for _ in range(120):
             ell = int(rng.integers(0, 5))
             pos = sorted(rng.choice(np.arange(2, x.n), size=ell, replace=False))
-            segments = changepoints.segment_spans(ChangePoints(x.n, pos))
+            segments = b.partition(x, ChangePoints(x.n, pos))
             values = together.spans(segments)
             assert values == [apart.spans([key])[0] for key in segments]
             assert together.stats == apart.stats
@@ -261,9 +245,8 @@ class TestJointEvidence:
         cp = ChangePoints(30, (11,))
         joint = b.log_joint_evidence(cp, EvidenceCache(x, params))
         parts = 0.0
-        for view in b.partition(x, cp):
-            seg = b.Sequence(x.alphabet, view.context, view.observations)
-            parts += b.CountTree.from_sequence(seg, params).log_evidence()
+        for start, end in b.partition(x, cp):
+            parts += b.CountTree.from_arrays(x.segment_codes(start, end), params).log_evidence()
         assert joint == pytest.approx(parts, abs=1e-12)
 
     def test_cache_transparent_over_random_configs(self):
@@ -364,8 +347,8 @@ class TestExactSingleCp:
             if prior == -math.inf:
                 continue
             total = prior
-            for view in b.partition(x, cp):
-                seg = b.Sequence(x.alphabet, view.context, view.observations)
+            for start, end in b.partition(x, cp):
+                seg = b.split_context(x.segment_codes(start, end), x.depth, x.alphabet)
                 total += brute_force_evidence(seg, params)
             logs[p - 2] = total
         oracle = np.exp(logs - logsumexp(logs))

@@ -420,17 +420,31 @@ class TestGenerate:
 
 
 class TestStationary:
-    def test_whole_series(self, toy_binary, tmp_path):
-        out = tmp_path / "run"
-        assert run_cli("stationary", toy_binary, "--depth", 2, "--out", out) == 0
-        obj = json.loads((out / "stationary.json").read_text())
-        marg = obj["segments"][0]["marginal"]
-        assert sum(marg) == pytest.approx(1.0, abs=1e-10)
-        # must agree with fitting and solving through the library directly
+    @pytest.mark.parametrize(
+        "positions", [(), (14,), (9, 20), (5, 12, 22)],
+        ids=["whole-series", "one-point", "two-points", "three-points"],
+    )
+    def test_segments_match_the_library(self, toy_binary, tmp_path, positions):
+        # maptree and stationary fit each segment as the library does: one
+        # MAP model per span of `partition`, built from its segment codes
+        segments = ",".join(map(str, positions))
+        for command in ("maptree", "stationary"):
+            assert run_cli(command, toy_binary, "--depth", 2, "--segments", segments,
+                           "--out", tmp_path / command) == 0
+        fitted = json.loads((tmp_path / "maptree" / "maptree.json").read_text())
+        solved = json.loads((tmp_path / "stationary" / "stationary.json").read_text())
         alpha = b.Alphabet.of_size(2)
         x = b.split_context(b.parse_plain(toy_binary.read_bytes(), alpha), 2, alpha)
-        model = b.map_tree(x, b.BctHyperParams(2, 2), with_params=True)
-        assert np.allclose(marg, b.stationary_marginal(model), atol=1e-12)
+        params = b.BctHyperParams(2, 2)
+        spans = b.partition(x, b.ChangePoints(x.n, positions))
+        assert len(fitted["segments"]) == len(solved["segments"]) == len(spans)
+        for (start, end), tree, marginal in zip(spans, fitted["segments"], solved["segments"]):
+            model = b.CountTree.from_arrays(x.segment_codes(start, end), params).map_model()
+            assert (tree["start"], tree["end"]) == (start, end)
+            assert (marginal["start"], marginal["end"]) == (start, end)
+            assert tree["model"] == model.to_json(alpha)
+            assert marginal["marginal"] == b.stationary_marginal(model).tolist()
+            assert sum(marginal["marginal"]) == pytest.approx(1.0, abs=1e-10)
 
     def test_failed_factorisation_exits_4(self, tmp_path, capsys, monkeypatch):
         # a noisy alternating series fits a depth-2 model, whose closure

@@ -129,7 +129,7 @@ def fitted_model(m, depth, beta, seed):
         row = (codes[-1] * m + codes[-2]) * m + codes[-3]
         codes.append(int(rng.choice(m, p=rows[row])))
     params = b.BctHyperParams(m, depth, beta)
-    return b.CountTree.from_arrays(np.array(codes), params).map_model(with_params=True)
+    return b.CountTree.from_arrays(np.array(codes), params).map_model()
 
 
 def random_spec(seed, m, depths, lengths):

@@ -345,7 +345,7 @@ class TestMapTree:
 
     def test_attaches_posterior_mean_parameters(self):
         seq = make_seq([0, 0, 1, 0, 0, 1, 0], 1)
-        model = b.map_tree(seq, BctHyperParams(2, 1), with_params=True)
+        model = b.map_tree(seq, BctHyperParams(2, 1))
         counts = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         for leaf in model.leaves:
             expect = b.leaf_posterior_mean(count_vector(counts, leaf))
@@ -382,7 +382,7 @@ class TestPinnedResults:
         codes = self.order_two_chain(m, n + depth, seed)
         params = BctHyperParams(m, depth, beta)
         tree = CountTree.from_arrays(codes, params)
-        model = tree.map_model(with_params=True)
+        model = tree.map_model()
         if params.beta < 0.5:  # the default beta expands no data-free subtree
             assert any(not count_vector(tree, s).any() for s in model.leaves)
         blob = repr(tree.log_evidence()) + json.dumps(
@@ -424,7 +424,7 @@ class TestPinnedResults:
     def test_map_readout_matches_pinned_digest(self, m, depth, beta, n, seed, digest):
         params = BctHyperParams(m, depth, beta)
         tree = CountTree.from_arrays(self.order_two_chain(m, n + depth, seed), params)
-        model = tree.map_model(with_params=True)
+        model = tree.map_model()
         blob = json.dumps(model.to_json(b.Alphabet.of_size(m)), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
         # the read-out tree scores what the bottom-up pass says the best one does
