@@ -56,7 +56,6 @@ from .trees import (
     default_beta,
     kt_log_prob,
     leaf_posterior_mean,
-    map_tree,
 )
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "log_posterior_unnorm",
     "log_prior_count",
     "log_prior_positions",
-    "map_tree",
     "model_from_table",
     "parse_csv",
     "parse_fasta",

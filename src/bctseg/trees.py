@@ -22,9 +22,12 @@ all its nodes in one call; the row sweep, which must keep step order inside
 each node, sorts once more per depth. Both read Krichevsky-Trofimov scores
 only from `_vector_kt`, the one place that knows numpy's summation order,
 with their log-gamma terms from tables built once per alphabet size per
-process and grown only for a longer segment. The batch builder's CTW pass
-sums each depth's children with one `np.bincount`; the MAP pass, whose
-absent children score below 0, keeps `np.add.at` from the absent term.
+process and grown only for a longer segment. The count matrices are int32,
+so a kernel's gathers index with an intp array or go through `np.take`,
+never with an int32 array, which numpy indexes at twice the cost. The batch
+builder's CTW pass sums each depth's children with one `np.bincount`; the
+MAP pass, whose absent children score below 0, keeps `np.add.at` from the
+absent term.
 """
 
 from __future__ import annotations
@@ -159,19 +162,24 @@ def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
     """KT log likelihood for each row of an integer count matrix, with the
     log-gamma terms read from `_kt_tables` of at least the largest row total.
     Rows of fewer than 8 counts are summed column by column, left to right,
-    as numpy sums such rows; wider rows numpy sums pairwise."""
+    as numpy sums such rows; wider rows numpy sums pairwise.
+
+    Every table read goes through `np.take`: it costs about half what
+    indexing with the kernels' int32 counts does, reads the same entries for
+    any integer dtype, and returns a C-ordered array whatever the layout of
+    `counts`, so wide rows are summed in one order for every layout."""
     half, whole = tables
     if m < 8:
-        row_sum, total = half[counts[:, 0]], counts[:, 0].copy()
+        row_sum, total = np.take(half, counts[:, 0]), counts[:, 0].copy()
         for j in range(1, m):
-            row_sum += half[counts[:, j]]
+            row_sum += np.take(half, counts[:, j])
             total += counts[:, j]
     else:
-        row_sum, total = half[counts].sum(axis=1), counts.sum(axis=1)
+        row_sum, total = np.take(half, counts).sum(axis=1), counts.sum(axis=1)
     # in place, in the order of row_sum - m * half[0] - whole[total] + whole[0]:
     # the same bits with one temporary the size of the tree fewer
     row_sum -= m * half[0]
-    row_sum -= whole[total]
+    row_sum -= np.take(whole, total)
     row_sum += whole[0]
     return row_sum
 
@@ -580,7 +588,9 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
     del keys, ordered
     tables = _resident_kt_tables(L, m)
     lb, l1b = params.log_beta, params.log_1mbeta
-    counts = np.empty((L, m), dtype=np.int64)
+    # the step-by-symbol count matrix, int32 as the batch builder's, held
+    # one contiguous column per symbol: `_vector_kt` gathers by column
+    columns = np.empty((m, L), dtype=np.int32)
     for d in range(D, -1, -1):
         # node first, then step: the keys are unique, so any sort is stable
         node = np.cumsum(opens[d])[place]
@@ -593,8 +603,8 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
         for j in range(m):
             hit = symbol == j
             run = np.cumsum(hit)
-            counts[:, j] = run - (run - hit)[group_start]
-        score = _vector_kt(counts, m, tables)
+            columns[j] = run - (run - hit)[group_start]
+        score = _vector_kt(columns.T, m, tables)
         if d < D:
             child_symbol = back(d + 1)[order]
             # children in symbol order from 0.0, as np.add.at sums them
@@ -607,9 +617,3 @@ def evidence_row(codes: np.ndarray, params: BctHyperParams, reverse: bool = Fals
         below[order] = score
     # obs is its own inverse: entry k is the root's score at the step adding k
     return array("d", below[obs].tobytes())
-
-
-def map_tree(seq: Sequence, params: BctHyperParams) -> TreeModel:
-    """The MAP tree model of the sequence under the hierarchical tree prior,
-    with the posterior-mean next-symbol probabilities of its leaves."""
-    return CountTree.from_sequence(seq, params).map_model()

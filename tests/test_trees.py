@@ -101,17 +101,34 @@ class TestKtLogProb:
             kt_log_prob_product(counts), abs=1e-10
         )
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 11])
-    def test_vector_kt_keeps_the_bits_of_numpy_row_sums(self, m):
+    @pytest.mark.parametrize(
+        "m, dtype, order",
+        [
+            case
+            for m in range(2, 12)
+            for case in (
+                # kt_log_prob's int64 row, under the test's id before the
+                # dtype became a parameter
+                pytest.param(m, np.int64, "C", id=str(m)),
+                # the batch builder's int32 node-by-symbol matrix
+                pytest.param(m, np.int32, "C", id=f"{m}-int32-rows"),
+                # evidence_row's int32 matrix, one column per symbol
+                pytest.param(m, np.int32, "F", id=f"{m}-int32-columns"),
+            )
+        ],
+    )
+    def test_vector_kt_keeps_the_bits_of_numpy_row_sums(self, m, dtype, order):
         # rows of fewer than 8 counts are summed column by column, which must
-        # give the bits of numpy's own row sums on every supported numpy
+        # give the bits of numpy's own row sums on every supported numpy,
+        # whatever the dtype and layout of the count matrix
         rng = np.random.default_rng(m)
         counts = rng.integers(0, 300, size=(500, m))
         counts[:50] = rng.integers(0, 3, size=(50, m))
         tables = _kt_tables(int(counts.sum(axis=1).max()), m)
         half, whole = tables
         rows = half[counts].sum(axis=1) - m * half[0] - whole[counts.sum(axis=1)] + whole[0]
-        assert np.array_equal(_vector_kt(counts, m, tables), rows)
+        stored = np.asarray(counts, dtype=dtype, order=order)
+        assert np.array_equal(_vector_kt(stored, m, tables), rows)
 
     @pytest.mark.parametrize("m", range(2, 12))
     def test_bincount_keeps_the_bits_of_add_at(self, m):
@@ -315,7 +332,7 @@ class TestMapTree:
 
     def test_depth_zero(self):
         seq = make_seq([0, 1, 1], 0)
-        assert b.map_tree(seq, BctHyperParams(2, 0)).leaves == frozenset({()})
+        assert CountTree.from_sequence(seq, BctHyperParams(2, 0)).map_model().leaves == frozenset({()})
 
     def test_matches_enumerated_argmax(self):
         rng = np.random.default_rng(23)
@@ -326,7 +343,7 @@ class TestMapTree:
             raw = rng.integers(0, 2, size=n + depth)
             seq = make_seq(raw, depth)
             params = BctHyperParams(2, depth, beta)
-            model = b.map_tree(seq, params)
+            model = CountTree.from_sequence(seq, params).map_model()
             score = model_score(seq, model, params)
             best_score, best_trees = enumerate_map_score(seq, params)
             counts = CountTree.from_sequence(seq, params)
@@ -345,7 +362,7 @@ class TestMapTree:
 
     def test_attaches_posterior_mean_parameters(self):
         seq = make_seq([0, 0, 1, 0, 0, 1, 0], 1)
-        model = b.map_tree(seq, BctHyperParams(2, 1))
+        model = CountTree.from_sequence(seq, BctHyperParams(2, 1)).map_model()
         counts = CountTree.from_sequence(seq, BctHyperParams(2, 1))
         for leaf in model.leaves:
             expect = b.leaf_posterior_mean(count_vector(counts, leaf))
