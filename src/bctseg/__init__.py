@@ -22,7 +22,6 @@ from .mcmc import (
     McmcConfig,
     Summary,
     Trace,
-    log_accept_ratio,
     log_move_correction,
     propose_fixed,
     propose_variable,
@@ -78,7 +77,6 @@ __all__ = [
     "generate_piecewise",
     "kt_log_prob",
     "leaf_posterior_mean",
-    "log_accept_ratio",
     "log_joint_evidence",
     "log_move_correction",
     "log_posterior_unnorm",

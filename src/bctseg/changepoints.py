@@ -91,16 +91,6 @@ def partition(x: Sequence, cp: ChangePoints) -> list[tuple[int, int]]:
     return [(f[j - 1], f[j] - 1 if j < len(f) - 1 else cp.n) for j in range(1, len(f))]
 
 
-def log_gap_product(cp: ChangePoints) -> float:
-    """Log of the product of the segment gaps; -inf when any gap is zero."""
-    total = 0.0
-    for g in cp.gaps():
-        if g <= 0:
-            return NEG_INF
-        total += math.log(g)
-    return total
-
-
 def log_prior_positions(cp: ChangePoints) -> float:
     """Log prior of the locations: the even-order statistics of 2*ell+1
     uniform draws from {2,..,n-1} without replacement, which weights a
@@ -108,9 +98,11 @@ def log_prior_positions(cp: ChangePoints) -> float:
     change-points probability zero. Returns -inf for zero-weight
     configurations; with no change-points the prior is exactly one.
     """
-    total = log_gap_product(cp)
-    if total == NEG_INF:
-        return NEG_INF
+    total = 0.0
+    for g in cp.gaps():
+        if g <= 0:
+            return NEG_INF
+        total += math.log(g)
     ell = cp.ell
     if ell == 0:
         # single gap of n-2 against K_0 = n-2: exactly one

@@ -220,20 +220,69 @@ def all_configs(n: int, ell_max: int):
     return configs
 
 
+def reference_log_joint_evidence(x, cp, params) -> float:
+    """Joint log evidence of `cp`: one batch evidence build per segment, with
+    no cache and no evidence rows, added left to right."""
+    y, D = x.full_codes(), params.depth
+    evidence = 0.0
+    for start, end in b.partition(x, cp):
+        evidence += span_log_evidence(y[start - 1 : D + end], params)
+    return evidence
+
+
 def reference_log_posterior(x, cp, params, ell_max=None) -> float:
     """Unnormalised log posterior of `cp` by definition: the location prior,
-    the count prior when `ell_max` is given, and one batch evidence build per
-    segment, with no cache and no evidence rows."""
+    the count prior when `ell_max` is given, and the uncached joint
+    evidence."""
     lp = b.log_prior_positions(cp)
     if lp == -math.inf:
         return lp
     if ell_max is not None:
         lp += b.log_prior_count(cp.ell, ell_max)
-    y, D = x.full_codes(), params.depth
-    evidence = 0.0
-    for start, end in b.partition(x, cp):
-        evidence += span_log_evidence(y[start - 1 : D + end], params)
-    return lp + evidence
+    return lp + reference_log_joint_evidence(x, cp, params)
+
+
+def log_gap_product(cp) -> float:
+    """Log of the product of the segment gaps; -inf when any gap is zero."""
+    gaps = cp.gaps()
+    if min(gaps) <= 0:
+        return -math.inf
+    return sum(math.log(g) for g in gaps)
+
+
+def reference_log_accept_ratio(x, current, candidate, params, ell_max=None) -> float:
+    """Log Metropolis-Hastings ratio of a move from `current` to `candidate`,
+    term by term, as the sampler once computed it: the ratio of the gap
+    products, the ratio of the uncached joint evidences and, for a birth
+    from k to k+1 change-points, the proposal ratio
+    P(death at k+1)/(k+1) over P(birth at k)/(n-k-2) times the location
+    prior's normalisers C(n-2, 2k+1)/C(n-2, 2k+3); a death is the negative of
+    the birth it undoes. The uniform count prior cancels. An unchanged state
+    gives 0, a zero-prior candidate -inf."""
+    if candidate.positions == current.positions:
+        return 0.0
+    new_gaps = log_gap_product(candidate)
+    if new_gaps == -math.inf:
+        return -math.inf
+    ratio = (
+        new_gaps
+        - log_gap_product(current)
+        + reference_log_joint_evidence(x, candidate, params)
+        - reference_log_joint_evidence(x, current, params)
+    )
+    if candidate.ell == current.ell:
+        return ratio
+    n, k = current.n, min(current.ell, candidate.ell)
+    # the move menu: birth is forced from zero, the three moves are equally
+    # likely below the cap, and death is one of two moves at the cap
+    p_birth = 1.0 if k == 0 else 1 / 3
+    p_death = 1 / 2 if k + 1 == ell_max else 1 / 3
+    birth = (
+        math.log(p_death * (n - k - 2) / (p_birth * (k + 1)))
+        + math.log(math.comb(n - 2, 2 * k + 1))
+        - math.log(math.comb(n - 2, 2 * k + 3))
+    )
+    return ratio + (birth if candidate.ell > current.ell else -birth)
 
 
 def exhaustive_joint_posterior(x, params, ell_max):

@@ -82,12 +82,18 @@ def test_traced_segment_reaches_the_wrapped_names(tracer_module, tmp_path):
     # and its interior misses through the wrapped build
     series = tmp_path / "series.txt"
     series.write_text("0110100110010110" * 3 + "0000000011111111" * 2)
+    iterations = 200
     with tracer_module.Tracer() as tracer:
-        argv = ["segment", str(series), "--depth", "2", "--lmax", "3", "--iters", "200",
-                "--burnin", "50", "--seed", "1", "--out", str(tmp_path / "segment")]
+        argv = ["segment", str(series), "--depth", "2", "--lmax", "3", "--iters",
+                str(iterations), "--burnin", "50", "--seed", "1", "--out",
+                str(tmp_path / "segment")]
         names = traced_job(tracer, argv)
         assert {"cli.job", "mcmc.run", "changepoints.joint", "trees.build"} <= names
-        # each rescoring scores one configuration; the accept ratios score
-        # the rest, which must reach the wrapped name too
-        called = Counter(span[2] for span in tracer.spans)
-        assert called["changepoints.joint"] > called["mcmc.rescore"] > 0
+        # run scores the initial state, then each candidate once, and every
+        # joint evidence is part of one of those scores
+        name_of = {span[0]: span[2] for span in tracer.spans}
+        called = Counter(name_of.values())
+        assert called["mcmc.rescore"] == iterations + 1
+        joints = [span for span in tracer.spans if span[2] == "changepoints.joint"]
+        assert joints
+        assert all(name_of.get(span[5]) == "mcmc.rescore" for span in joints)

@@ -225,7 +225,7 @@ class TestEvidenceCache:
         x, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1))
         config = b.McmcConfig(iterations=1000, burn_in=500, seed=5, ell_max=10)
         trace = b.run(x, BctHyperParams(3, 10), config)
-        assert trace.cache_stats == {"hits": 7405, "misses": 1226, "entries": 1226, "rows": 2}
+        assert trace.cache_stats == {"hits": 2816, "misses": 1226, "entries": 1226, "rows": 2}
 
 
 class TestJointEvidence:

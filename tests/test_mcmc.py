@@ -15,6 +15,8 @@ from bctseg.mcmc import equispaced_positions, log_move_correction
 from helpers import (
     empirical_distribution,
     exhaustive_joint_posterior,
+    reference_log_accept_ratio,
+    reference_log_posterior,
     total_variation,
 )
 
@@ -90,33 +92,86 @@ class TestProposeFixed:
         assert abs(fwd - rev) <= 3 * sigma
 
 
-def accepts(log_r: float, u: float) -> bool:
-    """The sampler's accept rule for a coin u drawn uniformly from [0, 1)."""
-    return log_r >= 0 or u < math.exp(log_r)
+def recorded_chain(monkeypatch, x, params, config, unchanged_every):
+    """Run one chain, recording every proposal as (current, candidate) and
+    every configuration `run` scores with its score. Every
+    `unchanged_every`-th proposal is replaced by the current state itself,
+    after the real proposal has made its draws, as `propose_fixed` does
+    when a walk is clamped."""
+    proposals, scored = [], []
+    name = "propose_fixed" if config.fixed_mode else "propose_variable"
+    propose, score = getattr(mcmc, name), mcmc.log_posterior_unnorm
+
+    def recorded_proposal(cp, *args):
+        candidate, move = propose(cp, *args)
+        if (len(proposals) + 1) % unchanged_every == 0:
+            candidate = cp
+        proposals.append((cp, candidate))
+        return candidate, move
+
+    def recorded_score(cp, *args):
+        value = score(cp, *args)
+        scored.append((cp, value))
+        return value
+
+    monkeypatch.setattr(mcmc, name, recorded_proposal)
+    monkeypatch.setattr(mcmc, "log_posterior_unnorm", recorded_score)
+    b.run(x, params, config)
+    return proposals, scored
 
 
-class TestAcceptFixed:
-    """Acceptance in the known-count chain, which passes no count cap."""
+class TestAcceptRatio:
+    """The sampler's log acceptance ratio, the difference of the two states'
+    scores plus the proposal ratio, against the ratio computed term by term
+    from gap products, uncached evidences and prior normalisers."""
 
-    def setup_method(self):
-        raw = [0] * 9 + [1] * 9 + [0, 1]
-        self.x = b.split_context(np.asarray(raw), 1, b.Alphabet.of_size(2))
-        self.evidence = EvidenceCache(self.x, BctHyperParams(2, 1))
-
-    def test_same_state_always_accepted(self):
-        cp = ChangePoints(self.x.n, (9,))
-        log_r = b.log_accept_ratio(cp, cp, self.evidence, None)
-        assert log_r == 0.0
-        rng = np.random.default_rng(0)
-        assert all(accepts(log_r, rng.random()) for _ in range(20))
-
-    def test_zero_prior_candidate_always_rejected(self):
-        cp = ChangePoints(self.x.n, (9,))
-        bad = ChangePoints(self.x.n, (2,))  # first gap weight is zero
-        log_r = b.log_accept_ratio(cp, bad, self.evidence, None)
-        assert log_r == -math.inf
-        for seed in range(20):
-            assert not accepts(log_r, np.random.default_rng(seed).random())
+    @pytest.mark.parametrize("series, depth, settings", [
+        ("switch", 1, dict(iterations=1500, burn_in=0, seed=21, num_changes=2)),
+        ("switch", 1, dict(iterations=1500, burn_in=0, seed=22, ell_max=3)),
+        ("random", 2, dict(iterations=600, burn_in=0, seed=23, num_changes=3)),
+        ("random", 2, dict(iterations=600, burn_in=0, seed=24, ell_max=4)),
+    ])
+    def test_every_proposal_matches_the_reference_ratio(
+        self, monkeypatch, switch_sequence, ternary_alphabet, series, depth, settings
+    ):
+        if series == "switch":
+            x = switch_sequence
+        else:
+            rng = np.random.default_rng(8)
+            x = b.split_context(rng.integers(0, 3, size=62), depth, ternary_alphabet)
+        params = BctHyperParams(x.alphabet.size, depth)
+        config = McmcConfig(**settings)
+        proposals, scored = recorded_chain(monkeypatch, x, params, config, unchanged_every=7)
+        # the initial state, then each candidate once, in proposal order
+        assert len(scored) == config.iterations + 1
+        log_post = scored[0][1]
+        seen = Counter()
+        for t, (current, candidate) in enumerate(proposals):
+            assert scored[t + 1][0] is candidate
+            log_r = scored[t + 1][1] - log_post + log_move_correction(
+                current.ell, candidate.ell, x.n, config.ell_max
+            )
+            ref = reference_log_accept_ratio(x, current, candidate, params, config.ell_max)
+            assert (log_r == -math.inf) == (ref == -math.inf)
+            if math.isfinite(ref):
+                assert abs(log_r - ref) <= 1e-12
+            accepted = t + 1 < len(proposals) and proposals[t + 1][0] is candidate
+            if candidate.positions == current.positions:
+                # exactly zero in both: certain, whatever the coin (a moved
+                # state of equal score may give 0 in one and a few ulps in
+                # the other)
+                seen["unchanged"] += 1
+                assert log_r == ref == 0.0
+                assert accepted or t + 1 == len(proposals)
+            elif log_r == -math.inf:
+                seen["zero prior"] += 1  # never, whatever the coin
+                assert not accepted
+            else:
+                seen["count change" if candidate.ell != current.ell else "same count"] += 1
+            if accepted:
+                log_post = scored[t + 1][1]
+        assert min(seen["unchanged"], seen["zero prior"], seen["same count"]) > 0
+        assert config.fixed_mode or seen["count change"] > 0
 
 
 class TestProposeVariable:
@@ -152,9 +207,10 @@ class TestMoveCorrection:
             assert log_move_correction(ell, ell, 30, 6) == 0.0
 
     def test_birth_from_empty_example(self):
-        # n=10: 2*8/(7*6) = 8/21
+        # n=10: a forced birth onto 8 free positions, undone by a death
+        # chosen with probability 1/3 out of one point: (1/3)*8/1 = 8/3
         got = log_move_correction(0, 1, 10, 5)
-        assert got == pytest.approx(math.log(8 / 21), abs=1e-12)
+        assert got == pytest.approx(math.log(8 / 3), abs=1e-12)
 
     @pytest.mark.parametrize("n", [12, 25, 60, 201])
     @pytest.mark.parametrize("ell_max", [2, 3, 5])
@@ -168,7 +224,9 @@ class TestMoveCorrection:
 
     def test_matches_closed_forms(self):
         # the six closed forms the general term replaced: births from zero,
-        # onto the cap and in between, and the deaths that undo them
+        # onto the cap and in between, and the deaths that undo them; they
+        # include the location prior's normaliser ratio, which the two
+        # states' scores carry, so it is divided out here
         def birth(ell, new, n, ell_max):
             if ell == 0:
                 return 2 * (n - 2) / ((n - 3) * (n - 4))
@@ -177,10 +235,14 @@ class TestMoveCorrection:
                 (n - 2 * new - 2) * (n - 2 * new - 1)
             )
 
+        def normaliser_ratio(new, n):
+            # C(n-2, 2*new-1) / C(n-2, 2*new+1)
+            return 2 * new * (2 * new + 1) / ((n - 2 * new - 1) * (n - 2 * new - 2))
+
         for n in (8, 12, 25, 77, 201, 4300, 10**6):
             for ell_max in range(2, min(20, (n - 4) // 2) + 1):
                 for ell in range(ell_max):
-                    expect = math.log(birth(ell, ell + 1, n, ell_max))
+                    expect = math.log(birth(ell, ell + 1, n, ell_max) / normaliser_ratio(ell + 1, n))
                     got = log_move_correction(ell, ell + 1, n, ell_max)
                     assert got == pytest.approx(expect, rel=1e-14, abs=1e-14)
                     assert log_move_correction(ell + 1, ell, n, ell_max) == -got
@@ -188,18 +250,6 @@ class TestMoveCorrection:
     def test_unmatched_case_raises(self):
         with pytest.raises(ValueError, match="out of sync"):
             log_move_correction(1, 3, 30, 5)
-
-    def test_within_ratio_has_no_correction_term(self, switch_sequence):
-        # a within-count candidate's ratio is evidence + gap terms only
-        evidence = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
-        cur = ChangePoints(switch_sequence.n, (9,))
-        cand = ChangePoints(switch_sequence.n, (12,))
-        got = b.log_accept_ratio(cur, cand, evidence, 3)
-        manual = b.log_posterior_unnorm(cand, evidence) - b.log_posterior_unnorm(cur, evidence)
-        assert got == pytest.approx(manual, abs=1e-12)
-        # the known-count chain uses the same ratio, with no count cap
-        fixed = b.log_accept_ratio(cur, cand, evidence, None)
-        assert fixed == got
 
 
 class TestEquispaced:
@@ -212,6 +262,29 @@ class TestEquispaced:
     def test_too_many_points(self):
         with pytest.raises(ValueError):
             equispaced_positions(10, 4)
+
+
+PINNED_CHAINS = [
+    ("switch", dict(iterations=2000, burn_in=100, seed=12, depth=1, num_changes=2),
+     "354f57f5f95f222078f9009ade2f9e98c47ca63c1d17827155b8ea6bcb301e52"),
+    ("switch", dict(iterations=2000, burn_in=100, seed=13, depth=1, ell_max=3),
+     "43ce65eda0ab7b17d10fac80cddbbaedb641744a414b87bf91c983ec221af7f8"),
+    ("ternary", dict(iterations=400, burn_in=0, seed=5, depth=4, num_changes=3),
+     "38fcfdf7640e617b6f6059ff9ef095dca3c2fa3092542daf03205c992605d7bc"),
+    ("ternary", dict(iterations=400, burn_in=0, seed=5, depth=4, ell_max=10),
+     "a086c98c4e84b4053e682137e746c51e26cfcd0175369a1ecbc8391ee0832307"),
+]
+
+
+def pinned_chain(switch_sequence, data, settings):
+    """The series, model and trace of one of `PINNED_CHAINS`."""
+    if data == "switch":
+        x = switch_sequence
+    else:
+        x, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1, depth=4))
+    config = McmcConfig(**{k: v for k, v in settings.items() if k != "depth"})
+    params = BctHyperParams(x.alphabet.size, settings["depth"])
+    return x, params, b.run(x, params, config)
 
 
 class TestRun:
@@ -245,26 +318,9 @@ class TestRun:
 
     # Pinned digests of reference traces in both modes: any change to the
     # proposals, the acceptance ratio or the order of random draws alters them.
-    @pytest.mark.parametrize(
-        "data, settings, digest",
-        [
-            ("switch", dict(iterations=2000, burn_in=100, seed=12, depth=1, num_changes=2),
-             "354f57f5f95f222078f9009ade2f9e98c47ca63c1d17827155b8ea6bcb301e52"),
-            ("switch", dict(iterations=2000, burn_in=100, seed=13, depth=1, ell_max=3),
-             "43ce65eda0ab7b17d10fac80cddbbaedb641744a414b87bf91c983ec221af7f8"),
-            ("ternary", dict(iterations=400, burn_in=0, seed=5, depth=4, num_changes=3),
-             "38fcfdf7640e617b6f6059ff9ef095dca3c2fa3092542daf03205c992605d7bc"),
-            ("ternary", dict(iterations=400, burn_in=0, seed=5, depth=4, ell_max=10),
-             "a086c98c4e84b4053e682137e746c51e26cfcd0175369a1ecbc8391ee0832307"),
-        ],
-    )
+    @pytest.mark.parametrize("data, settings, digest", PINNED_CHAINS)
     def test_traces_match_pinned_digests(self, switch_sequence, data, settings, digest):
-        if data == "switch":
-            x = switch_sequence
-        else:
-            x, _ = b.generate_piecewise(b.ternary_benchmark_spec(seed=1, depth=4))
-        config = McmcConfig(**{k: v for k, v in settings.items() if k != "depth"})
-        trace = b.run(x, BctHyperParams(x.alphabet.size, settings["depth"]), config)
+        _, _, trace = pinned_chain(switch_sequence, data, settings)
         record = json.dumps([
             trace.states,
             sorted(trace.accepted.items()),
@@ -272,6 +328,17 @@ class TestRun:
             trace.best_state,
         ])
         assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("data, settings, digest", PINNED_CHAINS)
+    def test_carried_best_score_equals_a_full_rescore(
+        self, switch_sequence, data, settings, digest
+    ):
+        # the best score is the one its state was given when proposed, and
+        # equals the uncached score of that state by definition, bit for bit
+        x, params, trace = pinned_chain(switch_sequence, data, settings)
+        best = ChangePoints(x.n, trace.best_state)
+        ell_max = settings.get("ell_max")
+        assert trace.best_log_post == reference_log_posterior(x, best, params, ell_max)
 
     def test_thinning_and_burn_in(self, switch_sequence):
         cfg = McmcConfig(
