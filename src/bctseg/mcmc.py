@@ -33,7 +33,7 @@ from .changepoints import (
     log_joint_evidence,  # noqa: F401
     log_posterior_unnorm,
 )
-from .sequences import Sequence
+from .sequences import Sequence, as_int
 from .trees import BctHyperParams
 
 # a chain that would retain more samples keeps only its histograms
@@ -54,6 +54,10 @@ class McmcConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        for name in ("iterations", "burn_in", "thinning", "num_changes", "ell_max"):
+            value = getattr(self, name)
+            if value is not None or name not in ("num_changes", "ell_max"):
+                object.__setattr__(self, name, as_int(value, name))
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if not 0 <= self.burn_in < self.iterations:
@@ -155,9 +159,12 @@ class Summary:
 # ------------------------------------------------------------------ proposals
 
 
-def _kth_free_position(cp: ChangePoints, k: int) -> int:
-    """The k-th (0-based) element of {2,..,n-1} minus the occupied positions."""
-    candidate = 2 + k
+def _free_position(cp: ChangePoints, rng) -> int:
+    """A uniform draw from {2,..,n-1} minus the occupied positions."""
+    free = cp.n - cp.ell - 2
+    if free < 1:
+        raise ValueError("no unoccupied positions available")
+    candidate = 2 + int(rng.integers(free))
     for p in cp.positions:
         if candidate >= p:
             candidate += 1
@@ -173,11 +180,7 @@ def propose_fixed(cp: ChangePoints, rng) -> tuple[ChangePoints, str]:
         raise ValueError("the fixed-count proposal needs at least one change-point")
     i = int(rng.integers(ell))
     if rng.random() < 0.5:
-        free = cp.n - ell - 2
-        if free < 1:
-            raise ValueError("no unoccupied positions available")
-        target = _kth_free_position(cp, int(rng.integers(free)))
-        return cp.replace(i, target), "jump"
+        return cp.replace(i, _free_position(cp, rng)), "jump"
     delta = 1 if rng.random() < 0.5 else -1
     target = cp.positions[i] + delta
     occupied = target in cp.positions
@@ -214,11 +217,7 @@ def propose_variable(
         move = "death" if u < p_death else ("birth" if u < p_death + p_birth else "within")
 
     if move == "birth":
-        free = cp.n - ell - 2
-        if free < 1:
-            raise ValueError("no unoccupied positions available for a birth move")
-        target = _kth_free_position(cp, int(rng.integers(free)))
-        return cp.insert(target), "birth"
+        return cp.insert(_free_position(cp, rng)), "birth"
     if move == "death":
         return cp.delete(int(rng.integers(ell))), "death"
     cand, _ = propose_fixed(cp, rng)

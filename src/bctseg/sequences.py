@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 
 import numpy as np
 
 
 class ParseError(ValueError):
     """An input file could not be mapped onto the requested alphabet."""
+
+
+def as_int(value, field: str) -> int:
+    """`value` as an int; a float, a bool or any other non-integer raises
+    ValueError naming `field` rather than being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 class Alphabet:

@@ -27,12 +27,11 @@ module.
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Alphabet, Sequence
+from .sequences import Alphabet, Sequence, as_int
 from .trees import TreeModel
 
 MAX_STATES = 1_000_000  # largest FSM closure that _closure builds
@@ -84,7 +83,7 @@ class PiecewiseSpec:
         ctx = self.initial_context
         if ctx is None:
             ctx = (0,) * self.depth
-        ctx = tuple(_spec_int(c, "initial_context entry") for c in ctx)
+        ctx = tuple(as_int(c, "initial_context entry") for c in ctx)
         if len(ctx) != self.depth:
             raise ValueError("initial context length must equal the depth")
         for c in ctx:
@@ -251,10 +250,10 @@ def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
     field must hold an integer: a float or a bool raises ValueError."""
     alpha = obj["alphabet"]
     alphabet = Alphabet.of_size(alpha) if isinstance(alpha, int) else Alphabet(alpha)
-    depth = _spec_int(obj.get("D", obj.get("depth", 0)), "D")
+    depth = as_int(obj.get("D", obj.get("depth", 0)), "D")
     segments = tuple(
         SegmentSpec(model_from_table(alphabet, seg["contexts"]),
-                    _spec_int(seg["length"], "length"))
+                    as_int(seg["length"], "length"))
         for seg in obj["segments"]
     )
     ctx = obj.get("initial_context")
@@ -266,19 +265,8 @@ def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
         depth=depth,
         segments=segments,
         initial_context=ctx,
-        seed=_spec_int(obj.get("seed", 0), "seed"),
+        seed=as_int(obj.get("seed", 0), "seed"),
     )
-
-
-def _spec_int(value, field: str) -> int:
-    """`value` as an int; a float, a bool or any other non-integer raises
-    ValueError rather than being truncated."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def piecewise_spec_to_json(spec: PiecewiseSpec) -> dict:

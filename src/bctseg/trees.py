@@ -41,7 +41,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import gammaln
 
-from .sequences import Alphabet, Sequence
+from .sequences import Alphabet, Sequence, as_int
 
 MAP_MAX_LEAVES = 1_000_000  # largest MAP tree map_model returns
 
@@ -74,15 +74,16 @@ class BctHyperParams:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.m < 2:
+        m, depth = as_int(self.m, "m"), as_int(self.depth, "depth")
+        if m < 2:
             raise ValueError("alphabet size must be at least 2")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        beta = float(default_beta(self.m) if self.beta is None else self.beta)
+        beta = float(default_beta(m) if self.beta is None else self.beta)
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie strictly between 0 and 1")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "beta", beta)
 
     @property

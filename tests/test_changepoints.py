@@ -70,6 +70,14 @@ class TestChangePoints:
         assert cp == ChangePoints(10, (4, 7)) != ChangePoints(11, (4, 7))
         assert hash(cp) == hash((10, (4, 7)))
         assert repr(cp) == "ChangePoints(n=10, positions=(4, 7))"
+        assert type(cp.n) is int and all(type(p) is int for p in cp.positions)
+
+    @pytest.mark.parametrize("bad", [3.7, True, "3"])
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            ChangePoints(bad)
+        with pytest.raises(ValueError, match="^change-point must be an integer"):
+            ChangePoints(10, (bad,))
 
 
 class TestPartition:
@@ -151,15 +159,34 @@ class TestEvidenceCache:
         assert cache.lookup((1, 5)) == -3.0
         assert cache.stats == {"hits": 1, "misses": 1, "entries": 1, "rows": 0}
 
-    def test_lru_eviction(self, switch_sequence, monkeypatch):
+    def test_full_store_is_emptied_first(self, switch_sequence, monkeypatch):
         monkeypatch.setattr(changepoints, "CACHE_CAPACITY", 2)
         cache = EvidenceCache(switch_sequence, BctHyperParams(2, 1))
         cache.store((1, 1), 1.0)
         cache.store((2, 2), 2.0)
-        cache.lookup((1, 1))        # refresh (1,1); (2,2) is now oldest
+        assert len(cache) == 2
         cache.store((3, 3), 3.0)
+        assert len(cache) == 1
+        assert cache.lookup((1, 1)) is None
         assert cache.lookup((2, 2)) is None
-        assert cache.lookup((1, 1)) == 1.0
+        assert cache.lookup((3, 3)) == 3.0
+
+    @pytest.mark.parametrize("mode", [{"num_changes": 2}, {"ell_max": 4}])
+    def test_capacity_cannot_change_a_chain(self, monkeypatch, mode):
+        # every value a miss recomputes has the bits of the one it replaces
+        rng = np.random.default_rng(12)
+        x = make_seq(np.concatenate([rng.integers(0, 2, 40), rng.random(42) < 0.9]).astype(int), 2)
+        params = BctHyperParams(2, 2)
+        config = b.McmcConfig(iterations=400, burn_in=100, seed=3, **mode)
+        default = b.run(x, params, config)
+        monkeypatch.setattr(changepoints, "CACHE_CAPACITY", 8)
+        capped = b.run(x, params, config)
+        assert capped.states == default.states
+        assert capped.best_state == default.best_state
+        assert capped.best_log_post == default.best_log_post
+        assert capped.cache_stats["misses"] > default.cache_stats["misses"]
+        assert default.cache_stats["entries"] > 8
+        assert capped.cache_stats["entries"] <= 8
 
     def test_cached_equals_fresh_recompute(self, switch_sequence):
         params = BctHyperParams(2, 1)

@@ -40,6 +40,31 @@ class TestConfig:
             # unknown-count mode requires room for the boundary move cases
             McmcConfig(iterations=10, burn_in=0, seed=0, ell_max=1)
 
+    @pytest.mark.parametrize("bad", [3.7, True, "3"])
+    @pytest.mark.parametrize(
+        "field", ["iterations", "burn_in", "thinning", "num_changes", "ell_max"]
+    )
+    def test_non_integers_rejected(self, field, bad):
+        mode = "ell_max" if field == "ell_max" else "num_changes"
+        settings = {"iterations": 10, "burn_in": 2, "thinning": 1, mode: 3, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            McmcConfig(seed=0, **settings)
+
+    @pytest.mark.parametrize("field", ["iterations", "burn_in", "thinning"])
+    def test_required_counts_refuse_none(self, field):
+        settings = {"iterations": 10, "burn_in": 2, "thinning": 1, field: None}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got None"):
+            McmcConfig(seed=0, num_changes=1, **settings)
+
+    def test_numpy_integers_accepted(self):
+        config = McmcConfig(
+            np.int64(10), np.int64(2), seed=0, ell_max=np.int64(3), thinning=np.int64(2)
+        )
+        assert config == McmcConfig(10, 2, seed=0, ell_max=3, thinning=2)
+        assert all(type(v) is int for v in (config.iterations, config.burn_in,
+                                            config.ell_max, config.thinning))
+        assert type(McmcConfig(10, 2, seed=0, num_changes=np.int64(1)).num_changes) is int
+
 
 class TestProposeFixed:
     def test_support_on_tiny_state(self):

@@ -70,6 +70,15 @@ class TestHyperParams:
         assert repr(p) == "BctHyperParams(m=3, depth=2, beta=0.75)"
         assert p == BctHyperParams(3, 2, 0.75) != BctHyperParams(3, 2, 0.5)
         assert hash(p) == hash((3, 2, 0.75))
+        assert BctHyperParams(3, np.int64(2)) == p
+        assert type(p.m) is int and type(BctHyperParams(3, np.int64(2)).depth) is int
+
+    @pytest.mark.parametrize("bad", [3.7, True, "3"])
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            BctHyperParams(bad, 2)
+        with pytest.raises(ValueError, match="^depth must be an integer"):
+            BctHyperParams(3, bad)
 
     def test_pickle_round_trip(self):
         # --chains sends the parameters to each worker process
