@@ -102,17 +102,16 @@ def log_prior_positions(cp: ChangePoints) -> float:
         if g <= 0:
             return NEG_INF
         total += math.log(g)
-    ell = cp.ell
-    if ell == 0:
+    if cp.ell == 0:
         # single gap of n-2 against K_0 = n-2: exactly one
         return 0.0
-    # log C(n-2, 2*ell+1); gaps all >= 1 guarantee n - 2*ell - 2 >= 1
-    log_k = (
-        math.lgamma(cp.n - 1)
-        - math.lgamma(2 * ell + 2)
-        - math.lgamma(cp.n - 2 * ell - 2)
-    )
-    return total - log_k
+    return total - _log_placements(cp.n, cp.ell)
+
+
+def _log_placements(n: int, ell: int) -> float:
+    """log C(n-2, 2*ell+1), the prior's normaliser for ell change-points;
+    needs n - 2*ell - 2 >= 1, as gaps all >= 1 guarantee."""
+    return math.lgamma(n - 1) - math.lgamma(2 * ell + 2) - math.lgamma(n - 2 * ell - 2)
 
 
 def log_prior_count(ell: int, ell_max: int) -> float:
@@ -241,26 +240,26 @@ def exact_single_cp_posterior(x: Sequence, params: BctHyperParams) -> np.ndarray
     """Exact posterior of a single change-point location.
 
     Returns the probability vector over p in {2,..,n-1} (index 0 holds p=2).
-    Positions with zero prior weight come out exactly zero. Feasible because
-    the single-change-point evidence factorises into just two segments per
-    candidate position, 1..p-1 and p..n. Each of those segments occurs for
-    one position only, so nothing is cached: one build of `x.full_codes()`
-    cut into two parts before observation p scores both segments, bit for
-    bit as two builds of their own codes would. Both gaps around the
-    change-point must be at least 1, so below five observations no position
-    has prior mass.
+    Feasible because the single-change-point evidence factorises into just
+    two segments per candidate position, 1..p-1 and p..n. Each of those
+    segments occurs for one position only, so nothing is cached: one build
+    of `x.full_codes()` cut into two parts before observation p scores both
+    segments, bit for bit as two builds of their own codes would. Only the
+    positions with prior mass, p in {3,..,n-2}, are scored, each with the
+    closed-form prior (p-2)(n-p-1) / C(n-2, 3), which equals
+    `log_prior_positions` bit for bit; p = 2 and p = n-1 come out exactly
+    zero. Both gaps around the change-point must be at least 1, so below
+    five observations no position has prior mass.
     """
     check_fit(x, params)
     n = x.n
     if n < 5:
         raise ValueError("need at least five observations")
     codes = x.full_codes()
+    log_k = _log_placements(n, 1)
     logs = np.full(n - 2, NEG_INF)
-    for p in range(2, n):
-        lp = log_prior_positions(ChangePoints(n, (p,)))
-        if lp == NEG_INF:
-            continue
+    for p in range(3, n - 1):
         left, right = CountTree.from_arrays(codes, params, (p - 1,)).part_log_evidence()
-        logs[p - 2] = lp + (left + right)
+        logs[p - 2] = ((math.log(p - 2) + math.log(n - p - 1)) - log_k) + (left + right)
     norm = logsumexp(logs)
     return np.exp(logs - norm)

@@ -52,6 +52,7 @@ class SegmentSpec:
     def __post_init__(self):
         if self.model.params is None:
             raise ValueError("segment models need parameters on every leaf")
+        object.__setattr__(self, "length", as_int(self.length, "length"))
         if self.length < 1:
             raise ValueError("segment length must be positive")
 
@@ -69,6 +70,8 @@ class PiecewiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", as_int(self.depth, "depth D"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         if not self.segments:
@@ -250,10 +253,8 @@ def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
     field must hold an integer: a float or a bool raises ValueError."""
     alpha = obj["alphabet"]
     alphabet = Alphabet.of_size(alpha) if isinstance(alpha, int) else Alphabet(alpha)
-    depth = as_int(obj.get("D", obj.get("depth", 0)), "D")
     segments = tuple(
-        SegmentSpec(model_from_table(alphabet, seg["contexts"]),
-                    as_int(seg["length"], "length"))
+        SegmentSpec(model_from_table(alphabet, seg["contexts"]), seg["length"])
         for seg in obj["segments"]
     )
     ctx = obj.get("initial_context")
@@ -262,10 +263,10 @@ def piecewise_spec_from_json(obj: dict) -> PiecewiseSpec:
         ctx = alphabet.split(ctx) if isinstance(ctx, str) else tuple(ctx)
     return PiecewiseSpec(
         alphabet=alphabet,
-        depth=depth,
+        depth=obj.get("D", obj.get("depth", 0)),
         segments=segments,
         initial_context=ctx,
-        seed=as_int(obj.get("seed", 0), "seed"),
+        seed=obj.get("seed", 0),
     )
 
 

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 import bctseg as b
 from bctseg import BctHyperParams, ChangePoints, EvidenceCache, changepoints
+from bctseg.trees import span_log_evidence
 
 from helpers import brute_force_evidence, reference_log_posterior, total_variation
 
@@ -388,10 +389,41 @@ class TestExactSingleCp:
         b.exact_single_cp_posterior(switch_sequence, BctHyperParams(2, 1))
         assert build_breaks == [(p - 1,) for p in range(3, switch_sequence.n - 1)]
 
-    def test_needs_four_observations(self):
-        x = make_seq([0, 1, 0], 1)
-        with pytest.raises(ValueError):
-            b.exact_single_cp_posterior(x, BctHyperParams(2, 1))
+    def test_needs_five_observations(self):
+        for raw in ([0, 1, 0], [0, 1, 0, 1, 1]):  # n = 2 and n = 4
+            with pytest.raises(ValueError, match="five observations"):
+                b.exact_single_cp_posterior(make_seq(raw, 1), BctHyperParams(2, 1))
+
+    def test_five_observations_one_position(self):
+        # only p = 3 has prior mass at n = 5
+        x = make_seq([0, 1, 0, 1, 1, 0], 1)
+        post = b.exact_single_cp_posterior(x, BctHyperParams(2, 1))
+        assert post.tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("case", range(41))
+    def test_equals_per_position_prior_and_two_builds(self, case):
+        # the slow path: the general prior of each ChangePoints(n, (p,)) and
+        # one build per segment; -inf where the prior is zero
+        rng = np.random.default_rng(case)
+        if case == 40:
+            m, depth, n = 4, 10, 300
+        else:
+            m, depth, n = int(rng.integers(2, 5)), int(rng.integers(0, 11)), int(rng.integers(5, 201))
+        raw = rng.choice(m, size=n + depth, p=rng.dirichlet(np.ones(m)))
+        cut = int(rng.integers(0, n + depth))
+        raw[cut:] = (raw[cut:] + 1) % m
+        x, params = make_seq(raw, depth, m=m), BctHyperParams(m, depth)
+        logs = np.full(n - 2, -math.inf)
+        for p in range(2, n):
+            prior = b.log_prior_positions(ChangePoints(n, (p,)))
+            if prior == -math.inf:
+                continue
+            logs[p - 2] = prior + (
+                span_log_evidence(x.segment_codes(1, p - 1), params)
+                + span_log_evidence(x.segment_codes(p, n), params)
+            )
+        slow = np.exp(logs - logsumexp(logs))
+        assert np.array_equal(b.exact_single_cp_posterior(x, params), slow)
 
     # Pinned digests of the posterior's bytes, taken before any change to how
     # it is computed: a faster path must keep every bit. The scores are

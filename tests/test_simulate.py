@@ -298,6 +298,29 @@ class TestGeneratePiecewise:
             with pytest.raises(ValueError, match="initial_context entry must be an integer"):
                 PiecewiseSpec(alphabet=alpha, depth=1, segments=(one,), initial_context=(entry,))
 
+    @pytest.mark.parametrize("bad", [3.7, True, "3"])
+    def test_non_integers_rejected(self, bad):
+        # 3.7 used to fail later with a TypeError, True to count as 1
+        alpha = Alphabet.of_size(2)
+        model = iid_model([0.5, 0.5])
+        one = SegmentSpec(model, 5)
+        with pytest.raises(ValueError, match="^length must be an integer"):
+            SegmentSpec(model, bad)
+        with pytest.raises(ValueError, match="^depth D must be an integer"):
+            PiecewiseSpec(alpha, bad, (one,))
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            PiecewiseSpec(alpha, 1, (one,), seed=bad)
+
+    def test_numpy_integers_accepted(self):
+        alpha, model = Alphabet.of_size(2), iid_model([0.3, 0.7])
+        spec = PiecewiseSpec(alpha, np.int64(1), (SegmentSpec(model, np.int64(5)),),
+                             seed=np.int64(3))
+        assert type(spec.depth) is int and type(spec.seed) is int
+        assert type(spec.segments[0].length) is int
+        x, _ = b.generate_piecewise(spec)
+        y, _ = b.generate_piecewise(PiecewiseSpec(alpha, 1, (SegmentSpec(model, 5),), seed=3))
+        assert x.n == 5 and np.array_equal(x.full_codes(), y.full_codes())
+
 
 def _run_python(code, *args, **env):
     """Standard output of `python -c code args...` in a process that imports
