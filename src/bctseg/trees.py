@@ -23,11 +23,11 @@ each node, sorts once more per depth. Both read Krichevsky-Trofimov scores
 only from `_vector_kt`, the one place that knows numpy's summation order,
 with their log-gamma terms from tables built once per alphabet size per
 process and grown only for a longer segment. The count matrices are int32,
-so a kernel's gathers index with an intp array or go through `np.take`,
-never with an int32 array, which numpy indexes at twice the cost. The batch
-builder's CTW pass sums each depth's children with one `np.bincount`; the
-MAP pass, whose absent children score below 0, keeps `np.add.at` from the
-absent term.
+so a kernel's gathers index with an intp array or call `take` as a method
+(`np.take` adds a Python wrapper), never with an int32 array, which numpy
+indexes at twice the cost. The batch builder's CTW pass sums each depth's
+children with one `np.bincount`; the MAP pass, whose absent children score
+below 0, keeps `np.add.at` from the absent term.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -165,24 +165,32 @@ def _vector_kt(counts: np.ndarray, m: int, tables) -> np.ndarray:
     Rows of fewer than 8 counts are summed column by column, left to right,
     as numpy sums such rows; wider rows numpy sums pairwise.
 
-    Every table read goes through `np.take`: it costs about half what
-    indexing with the kernels' int32 counts does, reads the same entries for
-    any integer dtype, and returns a C-ordered array whatever the layout of
-    `counts`, so wide rows are summed in one order for every layout."""
+    Every table read is a `take` method call: half the cost of indexing with
+    int32 counts and less than `np.take`'s Python wrapper for a short tree;
+    it reads the same entries for any integer dtype and returns a C-ordered
+    array whatever the layout of `counts`, so wide rows sum in one order."""
     half, whole = tables
     if m < 8:
-        row_sum, total = np.take(half, counts[:, 0]), counts[:, 0].copy()
+        row_sum, total = half.take(counts[:, 0]), counts[:, 0].copy()
         for j in range(1, m):
-            row_sum += np.take(half, counts[:, j])
+            row_sum += half.take(counts[:, j])
             total += counts[:, j]
     else:
-        row_sum, total = np.take(half, counts).sum(axis=1), counts.sum(axis=1)
+        row_sum, total = half.take(counts).sum(axis=1), counts.sum(axis=1)
     # in place, in the order of row_sum - m * half[0] - whole[total] + whole[0]:
     # the same bits with one temporary the size of the tree fewer
     row_sum -= m * half[0]
-    row_sum -= np.take(whole, total)
+    row_sum -= whole.take(total)
     row_sum += whole[0]
     return row_sum
+
+
+@cache
+def _key_weights(m: int, D: int) -> np.ndarray:
+    """The weights m, m**2, .., m**D, 1 of a context key's digits, read-only."""
+    weights = np.array([*(m**k for k in range(1, D + 1)), 1], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams, breaks=()):
@@ -212,7 +220,7 @@ def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams, breaks=())
         raise ValueError("alphabet/depth combination overflows context codes")
     # the key of the observation at t is the window codes[t : t + D + 1]
     # weighted by m, m**2, .., m**D for the context and 1 for the observation
-    weights = np.array([*(m**k for k in range(1, D + 1)), 1], dtype=np.int64)
+    weights = _key_weights(m, D)
     key = np.correlate(codes, weights, "valid") if L else np.zeros(0, dtype=np.int64)
     for b in breaks:  # in place: no second key array
         key[b:] += m ** (D + 1)
@@ -229,14 +237,14 @@ def _context_nodes(codes: np.ndarray, L: int, params: BctHyperParams, breaks=())
     return key, ordered, opens
 
 
-def _empty_log_pm(params: BctHyperParams) -> np.ndarray:
+def _empty_log_pm(params: BctHyperParams) -> list[float]:
     """Maximised score of a node with no data at each depth 0..D.
 
     A data-free subtree has estimated probability one everywhere, so its
     maximised value depends only on how far below the depth cap it sits.
     """
     D = params.depth
-    e = np.zeros(D + 1)
+    e = [0.0] * (D + 1)
     for d in range(D - 1, -1, -1):
         e[d] = max(params.log_beta, params.log_1mbeta + params.m * e[d + 1])
     return e
@@ -259,12 +267,13 @@ class CountTree:
     `part_log_evidence`.
     """
 
-    def __init__(self, params, keys, opens, sizes, counts, n):
+    def __init__(self, params, keys, opens, rows, first_child, counts, n):
         self.params = params
-        self.parts = sizes[0]  # one root per part
+        self.parts = rows[1]  # one root per part
         self._keys, self._opens = keys, opens  # the layout of _context_nodes
         # depth d holds rows _depth_rows[d] up to _depth_rows[d + 1]
-        self._depth_rows = list(accumulate(sizes, initial=0))
+        self._depth_rows = rows
+        self._first_child = first_child  # per node below the roots, until _parents
         self._all_counts = counts
         self.n = n
 
@@ -281,9 +290,10 @@ class CountTree:
     def _parents(self) -> np.ndarray:
         """For each node below the roots, its parent's place among the nodes
         one depth up: of the nodes from the first of its depth up to itself,
-        those whose runs start a node one depth up too, counted, minus 1."""
-        opens, rows = self._opens, np.array(self._depth_rows)
-        parents = np.cumsum(opens.ravel()[np.flatnonzero(opens[1:])])
+        the first children counted, minus 1."""
+        rows = np.array(self._depth_rows)
+        parents = np.cumsum(self._first_child)
+        del self._first_child  # all it says is in parents now
         parents -= np.repeat(rows[:-2] + 1, np.diff(rows[1:]))
         return parents
 
@@ -297,7 +307,7 @@ class CountTree:
     def _log_pw(self) -> np.ndarray:
         """Each node's weighted score; an absent subtree has weighted
         probability one, score 0 in logs."""
-        return self._bottom_up(np.logaddexp, np.zeros(self.params.depth + 1))
+        return self._bottom_up(np.logaddexp, [0.0] * (self.params.depth + 1))
 
     @cached_property
     def _log_pm(self) -> np.ndarray:
@@ -315,37 +325,47 @@ class CountTree:
         Every observation is counted once at each depth 0..D; the context
         window may reach into the initial context.
 
-        `breaks`, increasing observation indices strictly inside the array,
-        cut the observations into parts: part k runs from breaks[k - 1] (or
-        0) up to breaks[k] (or the end), with the D symbols before it as its
-        context. Each part's nodes, counts and scores are those of a build of
-        its own codes, so `part_log_evidence` gives each part's evidence bit
-        for bit as that build's `log_evidence` does.
+        `breaks`, increasing observation indices strictly inside the array
+        (any integers; a float or a bool raises ValueError), cut the
+        observations into parts: part k runs from breaks[k - 1] (or 0) up to
+        breaks[k] (or the end), with the D symbols before it as its context.
+        Each part's nodes, counts and scores are those of a build of its own
+        codes, so `part_log_evidence` gives each part's evidence bit for bit
+        as that build's `log_evidence` does.
         """
         m, D = params.m, params.depth
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         n = codes.size - D
         if n < 0:
             raise ValueError("code array shorter than its context")
+        # a list: each tuple(generator) leaves a block on the 1-tuple free list
+        breaks = [as_int(b, "break") for b in breaks]
         edges = [0, *breaks, n]
         if breaks and not all(a < b for a, b in zip(edges, edges[1:])):
             raise ValueError("breaks must increase strictly inside the observations")
         keys, opens = _context_nodes(codes, n, params, breaks)[1:]
+        rows = list(accumulate([len(edges) - 1, *opens[1:].sum(axis=1).tolist()], initial=0))
+        # where each node below the roots opens in opens[1:]; in opens, its
+        # index names [d - 1, i], set where the node at [d, i] is a first child
+        flat = np.flatnonzero(opens[1:])
+        first_child = opens.ravel().take(flat)
         # the sorted position at which each node's run of keys starts: the
-        # roots, one per part, then the nodes below them, depth by depth
-        starts = np.concatenate((edges[:-1], np.flatnonzero(opens[1:]) % max(n, 1)))
-        sizes = [len(edges) - 1, *np.count_nonzero(opens[1:], axis=1).tolist()]
+        # roots, one per part, then the nodes below them (// and not int64 %,
+        # which numpy runs several times slower)
+        flat -= flat // max(n, 1) * max(n, 1)
+        starts = np.concatenate((edges[:-1], flat))
+        del flat
         # a run's counts are the running counts per symbol where the next
         # run of its depth starts (at the end, n) minus those where it starts
         running = np.zeros((n + 1, m), dtype=np.int32)
         running[np.arange(1, n + 1), keys % m] = 1
         np.cumsum(running, axis=0, out=running)
-        at_start = np.take(running, starts, axis=0)
+        at_start = running.take(starts, axis=0)
         counts = np.empty_like(at_start)
         np.subtract(at_start[1:], at_start[:-1], out=counts[:-1])
-        last = np.cumsum(sizes) - 1
-        counts[last] = running[n] - at_start[last]
-        return cls(params, keys, opens, sizes, counts, n)
+        last = np.array(rows[1:]) - 1
+        counts[last] = running[n] - at_start.take(last, axis=0)
+        return cls(params, keys, opens, rows, first_child, counts, n)
 
     @classmethod
     def from_sequence(cls, seq: Sequence, params: BctHyperParams):
@@ -360,19 +380,19 @@ class CountTree:
 
     # ------------------------------------------------------- recursions
 
-    def _bottom_up(self, combine, absent: np.ndarray) -> np.ndarray:
+    def _bottom_up(self, combine, absent: list[float]) -> np.ndarray:
         """Scores of the observed nodes, row by row, under the shared CTW/BCT
         recursion. A depth-D node scores its KT likelihood pe; any other node
         scores combine(log beta + pe, log(1-beta) + the sum of its m children's
         scores), where an unobserved child at depth d scores absent[d]."""
         m, D = self.params.m, self.params.depth
         lb, l1b = self.params.log_beta, self.params.log_1mbeta
-        rows = self._depth_rows
-        scores = lb + self._log_pe
-        scores[rows[D] :] = self._log_pe[rows[D] :]
+        rows, parts, log_pe = self._depth_rows, self.parts, self._log_pe
+        scores = lb + log_pe
+        scores[rows[D] :] = log_pe[rows[D] :]
         for d in range(D, 0, -1):
             a, b, c = rows[d - 1], rows[d], rows[d + 1]
-            parents = self._parents[b - self.parts : c - self.parts]
+            parents = self._parents[b - parts : c - parts]
             # the children of a node in symbol order from m * absent[d], as
             # np.add.at sums them, with each observed child's term swapped in;
             # where absent[d] is 0.0 (every CTW depth, and the MAP pass at

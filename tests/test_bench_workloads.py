@@ -9,7 +9,7 @@ tests load `bench/workloads.py` from its file, as the benchmark does, and
 change nothing in it.
 
 A set-up's tiny job and its check depend on the seed, so the FASTA
-workloads set up at several seeds: `dna-exact` at the twenty that CI's
+workloads set up at several seeds: `dna-exact` at the forty that CI's
 set-up step runs, `lambda-fit`, whose inputs are larger, at five.
 """
 
@@ -22,7 +22,7 @@ import pytest
 from bctseg import cli
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-SEEDS = {"ternary-segment": [1], "dna-exact": range(1, 21), "lambda-fit": range(1, 6)}
+SEEDS = {"ternary-segment": [1], "dna-exact": range(1, 41), "lambda-fit": range(1, 6)}
 
 
 @pytest.fixture(scope="module")

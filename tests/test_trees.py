@@ -14,6 +14,7 @@ import bctseg as b
 from bctseg import BctHyperParams, CountTree, TreeModel, trees
 from bctseg.trees import (
     _context_nodes,
+    _key_weights,
     _kt_tables,
     _vector_kt,
     evidence_row,
@@ -596,11 +597,27 @@ class TestPartBuilds:
             with pytest.raises(ValueError, match="2 parts"):
                 ask()
 
-    @pytest.mark.parametrize("breaks", [(0,), (56,), (57,), (-1,), (30, 30), (40, 20)])
+    @pytest.mark.parametrize("breaks", [(0,), (56,), (57,), (-1,), (30, 30), (40, 20),
+                                        np.array([0]), np.array([10, 5])])
     def test_breaks_must_lie_inside_in_order(self, breaks):
         # 60 codes at depth 4 hold 56 observations
         codes = TestPinnedResults.order_two_chain(3, 60, seed=3)
         with pytest.raises(ValueError, match="breaks must increase"):
+            CountTree.from_arrays(codes, BctHyperParams(3, 4), breaks)
+
+    @pytest.mark.parametrize("breaks", [np.array([5, 10]), (np.int64(5), np.int64(10)),
+                                        np.array([5, 10], dtype=np.int32)])
+    def test_numpy_breaks_equal_int_breaks(self, breaks):
+        codes = TestPinnedResults.order_two_chain(3, 60, seed=3)
+        params = BctHyperParams(3, 4)
+        tree = CountTree.from_arrays(codes, params, breaks)
+        assert tree.part_log_evidence() == CountTree.from_arrays(
+            codes, params, (5, 10)).part_log_evidence()
+
+    @pytest.mark.parametrize("breaks", [(2.5,), (True,), (np.float64(5.0),), ("5",)])
+    def test_non_integer_breaks_rejected(self, breaks):
+        codes = TestPinnedResults.order_two_chain(3, 60, seed=3)
+        with pytest.raises(ValueError, match="break must be an integer"):
             CountTree.from_arrays(codes, BctHyperParams(3, 4), breaks)
 
     def test_part_digit_overflow_rejected(self):
@@ -664,6 +681,26 @@ class TestContextNodes:
             assert tree._depth_rows == [0] + [1] * (depth + 1)
             assert tree._all_counts.shape == (1, m)
             assert not count_vector(tree, ()).any()
+
+    @pytest.mark.parametrize("m, depth, evidence, map_score", [
+        (2, 0, 0.0, 0.0),
+        (3, 4, 5.551115123125783e-17, -0.2876820724517809),
+        (11, 10, 1.7750557967932679e-15, -0.0009770396478248364),
+    ])
+    def test_empty_tree_scores_are_pinned(self, m, depth, evidence, map_score):
+        # below depth 0 an empty slice has no node, so the root's CTW child
+        # sum is np.bincount's int64 0 from no weights; log beta and
+        # log(1 - beta) log-added give 0 up to rounding
+        tree = CountTree.from_arrays(np.zeros(depth, dtype=np.int64), BctHyperParams(m, depth))
+        assert tree.log_evidence() == evidence
+        assert tree.root_log_pm() == map_score
+
+    def test_key_weights_are_read_only(self):
+        weights = _key_weights(3, 4)
+        assert weights.tolist() == [3, 9, 27, 81, 1]
+        assert _key_weights(3, 4) is weights  # made once
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0
 
 
 class TestBruteForce:
